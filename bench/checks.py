@@ -87,6 +87,56 @@ def mul_real(a, b):
     return out
 
 
+def rem_monic(a, m):
+    """Remainder of an integer polynomial modulo a monic one."""
+    r = list(a)
+    d = len(m) - 1
+    for k in range(len(r) - 1 - d, -1, -1):
+        q = r[k + d]
+        if q:
+            for j, c in enumerate(m):
+                r[k + j] -= q * c
+    return _trim_real(r[:d])
+
+
+def _trim_real(a):
+    n = len(a)
+    while n and a[n - 1] == 0:
+        n -= 1
+    return list(a[:n])
+
+
+class ZPoly:
+    """An integer polynomial with the operators plat.propagate uses, for
+    the exact plat coloring over Z[u]."""
+
+    __slots__ = ("c",)
+
+    def __init__(self, coeffs):
+        self.c = _trim_real(coeffs)
+
+    def __add__(self, other):
+        a, b = self.c, _zp(other).c
+        if len(a) < len(b):
+            a, b = b, a
+        return ZPoly([x + y for x, y in zip(a, b)] + a[len(b):])
+
+    def __neg__(self):
+        return ZPoly([-x for x in self.c])
+
+    def __sub__(self, other):
+        return self + -_zp(other)
+
+    def __mul__(self, other):
+        return ZPoly(mul_real(self.c, _zp(other).c))
+
+    __rmul__ = __mul__
+
+
+def _zp(x):
+    return x if isinstance(x, ZPoly) else ZPoly([x])
+
+
 def divide_by_monic(num, den):
     """num / den over Z[i] for a monic integer den; None if it leaves a
     remainder."""
@@ -257,25 +307,73 @@ def census_records(records, rng):
     return out
 
 
+def upside_down(P2, alpha, beta, is_knot, rng):
+    """P' of the upside-down diagram is +-u^eps R'(u^2), with R' Riley's
+    word-matrix entry for the fraction beta^-1/alpha or its mirror."""
+    eps = 1 if is_knot else 2
+    re = P2[0]
+    R = [re[k] for k in range(eps, len(re), 2)]
+    if any(P2[1]) or bridge(P2, real(R), is_knot):
+        return ["P' is not u^eps R(u^2) with an integer R"]
+    inv = pow(beta, -1, alpha)
+    for b in (inv, alpha - inv):
+        for sign in (1, -1):
+            if not riley_matches_word(real([sign * c for c in R]), alpha, b,
+                                      is_knot, rng):
+                return []
+    return ["P' is not u^eps R(u^2) for Riley's word matrix of %d/%d or its "
+            "mirror" % (inv, alpha)]
+
+
+def census_candidates(records, candidates, rng):
+    """Check, apart from the package, the candidate polynomials each class
+    offers as the divisible side of an edge.
+
+    candidates maps (alpha, beta) to the list of (name, polynomial) in the
+    order the census tries them: P and P' for knots, P, P(iu), P' and
+    P'(iu) for links.  P and P(iu) must be the record's polynomials (checked
+    by census_records), P' the upside-down diagram's (bridge identity and
+    word matrix) and P'(iu) the iu-companion of P'.  Every candidate has the
+    shape of a rep-polynomial.
+    """
+    out = []
+    for rec in records:
+        a, b, knot = rec["alpha"], rec["beta"], rec["is_knot"]
+        cands = candidates[(a, b)]
+        names = [name for name, _ in cands]
+        tag = "%d/%d" % (b, a)
+        want = ["P", "P'"] if knot else ["P", "P(iu)", "P'", "P'(iu)"]
+        if names != want:
+            out.append("%s: candidates %s, expected %s" % (tag, names, want))
+            continue
+        poly = dict(cands)
+        for name, p in cands:
+            out += ["%s of %s: %s" % (name, tag, x)
+                    for x in rep_poly_shape(p, a, False)]
+        if _trim(*poly["P"]) != from_json(rec["rep_poly"]):
+            out.append("%s: candidate P is not the record's rep_poly" % tag)
+        if not knot and _trim(*poly["P(iu)"]) != \
+                from_json(rec["rep_poly_pair"][1]):
+            out.append("%s: candidate P(iu) is not the record's second "
+                       "polynomial" % tag)
+        out += ["%s: %s" % (tag, x)
+                for x in upside_down(poly["P'"], a, b, knot, rng)]
+        if not knot:
+            out += ["%s: P', P'(iu): %s" % (tag, x)
+                    for x in link_pair(poly["P'"], poly["P'(iu)"])]
+    return out
+
+
 def census_edges(records, edges, candidates):
     """Recompute the divisibility edges by exact division and compare.
 
     candidates maps (alpha, beta) to the list of (name, polynomial) a class
-    offers as the divisible side, in the order the census tries them; each
-    candidate must itself have the shape of a rep-polynomial.
+    offers as the divisible side, in the order the census tries them, each
+    checked by census_candidates.
     """
     out = []
     target = {(r["alpha"], r["beta"]): _trim(*from_json(r["rep_poly"]))
               for r in records}
-    for key, cands in candidates.items():
-        for name, poly in cands:
-            out += ["%s of %d/%d: %s" % (name, key[1], key[0], s)
-                    for s in rep_poly_shape(poly, key[0], False)]
-        if _trim(*cands[0][1]) != target[key]:
-            out.append("%d/%d: first candidate is not the record's rep_poly"
-                       % (key[1], key[0]))
-    if out:
-        return out
     values = {key: [[_gauss_value(p, x) for x in SCREEN_POINTS]
                     for _, p in cands] for key, cands in candidates.items()}
     tvals = {key: [_gauss_value(p, x) for x in SCREEN_POINTS]

@@ -8,74 +8,11 @@ blocks those at 0 and 1; the caps at the top carry the vectors a (positions
 (x, y) X(d <x, y>) for a right-handed block and (x, y) X(d <x, y>)^-1 for a
 left-handed one, with X(v) = [[0, -1], [1, -v]] and d the vertical
 direction (+1 downward) of the strand passing under.  The arithmetic is
-generic: mpmath numbers give the numeric coloring at a root, ZPoly values
-the exact coloring over Z[u].
+generic: mpmath numbers give the numeric coloring at a root, checks.ZPoly
+values the exact coloring over Z[u].
 """
 
 from __future__ import annotations
-
-
-class ZPoly:
-    """Dense polynomial over Z, coefficient list indexed by degree."""
-
-    __slots__ = ("c",)
-
-    def __init__(self, coeffs):
-        c = list(coeffs)
-        while c and c[-1] == 0:
-            c.pop()
-        self.c = c
-
-    def __add__(self, other):
-        a, b = self.c, _zp(other).c
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, x in enumerate(b):
-            out[i] += x
-        return ZPoly(out)
-
-    def __neg__(self):
-        return ZPoly([-x for x in self.c])
-
-    def __sub__(self, other):
-        return self + (-_zp(other))
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return ZPoly([other * x for x in self.c])
-        a, b = self.c, other.c
-        if not a or not b:
-            return ZPoly([])
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        return ZPoly(out)
-
-    __rmul__ = __mul__
-
-    def rem_monic(self, mod: "ZPoly") -> "ZPoly":
-        """Remainder modulo a monic polynomial."""
-        r = list(self.c)
-        d = len(mod.c) - 1
-        for k in range(len(r) - 1 - d, -1, -1):
-            q = r[k + d]
-            if q:
-                for j, m in enumerate(mod.c):
-                    r[k + j] -= q * m
-        return ZPoly(r[:d])
-
-    def is_zero(self) -> bool:
-        return not self.c
-
-
-def _zp(x):
-    return x if isinstance(x, ZPoly) else ZPoly([x])
-
-
-U = ZPoly([0, 1])
 
 
 def j_blocks(blocks):

@@ -5,9 +5,10 @@
 Run from the root of a checkout.  The workload runs in a fresh interpreter
 against the package under ./src.  Set-up time (interpreter start, imports,
 input generation up to the first timed item) is measured in several fresh
-interpreters and reported as the median.  The workload then runs whole
-rounds over its input set until the next round would end past S seconds
-(at least one round), and every output is checked.  With --trace 1 the run
+interpreters, before and after the run, and reported as the median.  The
+workload then runs whole rounds over its input set until the next round
+would end past S seconds (at least one round), and every output is
+checked.  With --trace 1 the run
 makes one untraced round, then one round with per-layer spans, and reports
 the per-layer metrics and the tracing overhead instead.  The last line of
 standard output is one JSON object: correct, attempted, failed, metrics.
@@ -30,7 +31,7 @@ SRC = os.path.join(ROOT, "src")
 OUT_DIR = os.path.join(HERE, "out")
 
 WORKLOADS = ("census-exact", "census-geometry", "exact-large", "ors")
-SETUP_SAMPLES = 5          # fresh interpreters timed for setup_s, the run's own included
+SETUP_SAMPLES = 9          # fresh interpreters timed for setup_s, the run's own included
 CHILD_TIMEOUT_S = 170
 
 
@@ -152,15 +153,21 @@ def main(argv=None):
         print("error: no package at %s" % SRC, file=sys.stderr)
         return 2
     deadline = time.perf_counter() + CHILD_TIMEOUT_S
+
+    def setup_samples(n):
+        return [spawn(args, "setup", deadline - time.perf_counter())[1]
+                for _ in range(n)]
+
+    # Half the set-up samples before the run and half after it, so that
+    # their median does not follow a short slow spell of the machine.
     try:
-        setups = [spawn(args, "setup", deadline - time.perf_counter())[1]
-                  for _ in range(SETUP_SAMPLES - 1)]
+        setups = setup_samples((SETUP_SAMPLES - 1) // 2)
         doc, setup = spawn(args, "run", deadline - time.perf_counter())
+        setups += setup_samples(SETUP_SAMPLES - 1 - len(setups)) + [setup]
     except (RuntimeError, ValueError, KeyError, IndexError,
             subprocess.TimeoutExpired) as e:
         print("error: %s" % e, file=sys.stderr)
         return 1
-    setups.append(setup)
     metrics = doc["metrics"]
     if not args.trace:
         metrics["setup_s"] = {"value": statistics.median(setups), "unit": "s"}

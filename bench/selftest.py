@@ -116,6 +116,23 @@ def census(geometry):
                   if ((records[-1]["alpha"], records[-1]["beta"]),
                       (r["alpha"], r["beta"])) not in present)
     variant("an edge added", eds=edges + [dict(edges[-1], to=list(extra))])
+    cands = wl.candidates(records)
+    expect("%s candidates clean" % name,
+           checks.census_candidates(records, cands, random.Random(1)), True)
+    for rec in (records[knots[-1]], records[links[-1]]):
+        key = (rec["alpha"], rec["beta"])
+        eps = 1 if rec["is_knot"] else 2
+        for k, (cand, poly) in enumerate(cands[key]):
+            # a middle coefficient of the bridge form u^eps R(u^2), so that
+            # only the Riley word matrix or the iu-pairing can notice
+            j = eps + 2 * ((len(poly[0]) - 1 - eps) // 4)
+            bad = dict(cands)
+            bad[key] = list(cands[key])
+            bad[key][k] = (cand, bump(poly, j))
+            expect("%s, one coefficient of candidate %s of %d/%d changed"
+                   % (name, cand, key[1], key[0]),
+                   checks.census_candidates(records, bad, random.Random(1)),
+                   False)
     if not geometry:
         return
     recs = copy.deepcopy(records)
@@ -153,7 +170,7 @@ def ors():
     rnd = wl.run_round()
     expect("ors clean", wl.check(rnd), True)
     idx = [i for i, o in enumerate(rnd.outputs)
-           if o is not None and len(wl._seed_poly(wl.specs[i][0]).coeffs()) > 3]
+           if o is not None and len(wl.seed_polys[wl.specs[i][0]].coeffs()) > 3]
 
     def variant(label, i, out):
         outs = list(rnd.outputs)

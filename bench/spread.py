@@ -8,8 +8,7 @@ metric it prints each set's median and spread (the distance between the
 first and third quartile over the median) and the shift of the second
 median against the first, both as shares next to the metric's bound from
 BENCHMARK.json, and the share of failed operations in each set.  Exits 1
-if a spread other than that of setup_s, or a shift, exceeds its bound, or
-if the failed shares differ.
+if a spread or a shift exceeds its bound, or if the failed shares differ.
 """
 
 from __future__ import annotations
@@ -74,7 +73,7 @@ def main():
         shift = (med2 - med1) / med1
         if m["better"] == "higher":
             shift = -shift
-        bad = shift > bound or (name != "setup_s" and max(sp1, sp2) > bound)
+        bad = shift > bound or max(sp1, sp2) > bound
         ok = ok and not bad
         print("%-12s %8.3f %10.4g %8.3f %10.4g %8.3f %8.3f%s" % (
             name, bound, med1, sp1, med2, sp2, shift, "  OVER" if bad else ""))

@@ -49,35 +49,26 @@ _ALIASES = {"__mul__": "__rmul__", "__add__": "__radd__"}
 
 
 class Stat:
-    __slots__ = ("calls", "total", "self", "max", "units")
+    __slots__ = ("calls", "total", "self", "max")
 
     def __init__(self):
         self.calls = 0
         self.total = 0.0
         self.self = 0.0
         self.max = 0.0
-        self.units = 0
-
-
-def _crossings(args, kwargs):
-    data = args[0] if args else kwargs["data"]
-    return len(data.rep.trace.crossings)
-
-
-# Work units per call, for rates per unit of work.
-_UNITS = {"geometry.complex_volume": _crossings}
 
 
 class Tracer:
     def __init__(self):
         self.stats = {name: Stat() for name, _, _ in TRACED}
+        self.volume_crossings = 0   # crossings of the complex_volume calls
         self._stack = []
         self._undo = []
 
     def _wrap(self, name, fn):
         stat = self.stats[name]
         stack = self._stack
-        units = _UNITS.get(name)
+        is_volume = name == "geometry.complex_volume"
         clock = time.perf_counter
 
         def span(*args, **kwargs):
@@ -93,8 +84,9 @@ class Tracer:
                 stat.self += dt - inner
                 if dt > stat.max:
                     stat.max = dt
-                if units is not None:
-                    stat.units += units(args, kwargs)
+                if is_volume:
+                    data = args[0] if args else kwargs["data"]
+                    self.volume_crossings += len(data.rep.trace.crossings)
                 if stack:
                     stack[-1] += dt
 
@@ -143,7 +135,8 @@ class Tracer:
         vol = self.stats["geometry.complex_volume"]
         out["geometry.find_roots.max_s"] = (roots.max, "s")
         out["geometry.complex_volume.s_per_crossing"] = (
-            vol.total / vol.units if vol.units else 0.0, "s")
+            vol.total / self.volume_crossings if self.volume_crossings else 0.0,
+            "s")
         for m in LAYERS:
             out["layer.%s.self_s" % m] = (layer[m], "s")
         return out

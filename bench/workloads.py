@@ -85,17 +85,23 @@ class Census:
         return Round(wall, [wall], failed, (rc, records, edges),
                      attempted=self.classes)
 
+    @staticmethod
+    def candidates(records):
+        """The polynomials each class offers as the divisible side of an
+        edge, from the package, in the order the census tries them."""
+        return {(r["alpha"], r["beta"]): [
+            (name, checks.from_gpoly(p)) for name, p in
+            epi.rep_poly_set(Fraction(r["alpha"], r["beta"]))]
+            for r in records}
+
     def check(self, rnd):
         rc, records, edges = rnd.outputs
         if rc != 0:
             return ["census exited with code %d" % rc]
         rng = random.Random(self.seed)
         out = checks.census_records(records, rng)
-        cands = {}
-        for rec in records:
-            frac = Fraction(rec["alpha"], rec["beta"])
-            cands[(frac.alpha, frac.beta)] = [
-                (name, checks.from_gpoly(p)) for name, p in epi.rep_poly_set(frac)]
+        cands = self.candidates(records)
+        out += checks.census_candidates(records, cands, rng)
         out += checks.census_edges(records, edges, cands)
         if self.geometry:
             out += checks.roots_match(records)
@@ -106,29 +112,35 @@ class Census:
 # -- large exact polynomials -------------------------------------------------
 
 # Strata of fractions with alpha between 1000 and 3000; the seed picks one
-# member per stratum.  The cost of the knot engine at a fixed alpha swings
+# member per stratum.  At a fixed alpha the cost of the knot engine swings
 # by 30x with the shape of the even expansion, so a plain random draw would
-# make the round time follow the draw.  A knot stratum holds fractions and
-# their mirror images: the mirror's even expansion is the negated word, so
-# both cost the same (they also give the same rep-polynomial and Riley
-# polynomial; the seed varies the diagram computed, not the result).  A
-# link stratum holds fractions whose item times (rep-polynomial pair plus
-# Riley polynomial) stayed within about 10 % of each other on the reference
-# machine.  Three knot strata near alpha 2000 of similar cost sit in the
-# middle, so that the median item is taken from a cluster rather than from
-# a single timing.  The seconds are item times measured when the list was
-# made.
+# make the round time follow the draw.  The members of a stratum are
+# distinct knots, or distinct links, whose item times (rep-polynomial, or
+# the pair for a link, plus Riley polynomial) were within about 15 % of each
+# other on the reference machine.  A long expansion has at least 12 blocks
+# and at least 2.5 times as many as the canonical word; there most of the
+# item time is the even-expansion engine that rep_polynomial uses on knots
+# (the canonical word colors 2 to 7 times faster), and the long strata
+# take about as much of a round as the short-expansion knot strata.  The
+# seconds are item times measured when the list was made; the four strata
+# from 1.6 to 2.2 s sit in the middle, so the median item comes from a
+# cluster rather than from one timing.
 EXACT_STRATA = (
-    # knot, short expansion, alpha ~1000: 0.34 s
-    ((1013, 337), (1013, 676), (1051, 667), (1051, 384)),
-    ((1000, 537), (1144, 1035)),            # link, alpha ~1000: 0.37 s
-    ((1009, 918), (1009, 91)),              # knot, long expansion: 0.7 s
-    ((2027, 608), (2027, 1419)),            # knot, short, alpha ~2000: 1.0 s
-    ((1963, 1496), (1963, 467)),            # knot, short, alpha ~2000: 1.3 s
-    ((2067, 1559), (2067, 508)),            # knot, short, alpha ~2000: 1.45 s
-    ((2094, 1747), (1964, 1307)),           # link, alpha ~2000: 1.6 s
-    ((2937, 1190), (2937, 1747)),           # knot, short, alpha ~3000: 2.5 s
-    ((2958, 1759), (2980, 1379)),           # link, alpha ~3000: 4.8 s
+    # knot, short expansion, alpha ~1000: 0.4 s
+    ((1025, 427), (1037, 726), (1035, 259), (1029, 389)),
+    ((1144, 1035), (1000, 537)),                # link, alpha ~1000: 0.6 s
+    # knot, short, alpha ~2000: 1.6 s
+    ((1963, 1779), (2027, 608), (1953, 1027)),
+    # knot, short, alpha ~2000: 1.8 s
+    ((1969, 834), (2029, 637), (1985, 516)),
+    ((1964, 1307), (2094, 1747)),               # link, alpha ~2000: 2.1 s
+    # knot, long expansion (20-34 blocks), alpha ~1700: 2.2 s
+    ((1649, 521), (1689, 1636)),
+    # knot, short, alpha ~3000: 3.5 s
+    ((2947, 1761), (2937, 1190), (2957, 2196)),
+    # knot, long expansion (16-28 blocks), alpha 1807-2283: 4.7 s
+    ((2283, 589), (1913, 183), (1807, 1722)),
+    ((2980, 1379), (2958, 1759)),               # link, alpha ~3000: 6 s
 )
 
 
@@ -219,11 +231,16 @@ class Ors:
 
     def __init__(self, seed):
         self.seed = seed
-        self.seed_polys = {}
+        words_of = {m: _seed_words(m) for m in (1, 2, 3)}
+        # every seed word's polynomial, so that set-up does the same work
+        # whatever the seed draws
+        self.seed_polys = {
+            a: coloring.rep_polynomial(slope(ConwayWord(a)))
+            for words in words_of.values() for a in words}
+        self.prefix_right = {}
         rng = random.Random(seed)
         specs = []
-        for m in (1, 2, 3):
-            words = _seed_words(m)
+        for m, words in words_of.items():
             for n in (2, 3, 4, 5):
                 for k in range(ORS_DRAWS_PER_CELL):
                     # one word from the k-th of equal bands of the words
@@ -250,11 +267,6 @@ class Ors:
                     return a, n, c
         raise RuntimeError("no admissible ORS spec of type %d" % n)
 
-    def _seed_poly(self, a):
-        if a not in self.seed_polys:
-            self.seed_polys[a] = coloring.rep_polynomial(slope(ConwayWord(a)))
-        return self.seed_polys[a]
-
     def _first_orientation_right(self, a, n, c):
         """Does the first orientation ors_factor_property tries make the
         connecting 2c-block's determinant vanish modulo the seed polynomial?
@@ -264,12 +276,16 @@ class Ors:
                       if plat.orientation_consistent(blocks, o)), None)
         if first is None:
             return False
-        re, _ = checks.from_gpoly(self._seed_poly(a))
-        core = plat.ZPoly(re[next(k for k, x in enumerate(re) if x):])
-        one, zero = plat.ZPoly([1]), plat.ZPoly([])
-        _, u = plat.propagate(blocks, first, (one, zero), (zero, plat.U),
-                              stop_before=len(a) + 1)
-        return u.rem_monic(core).is_zero()
+        # the seed prefix depends on the seed word and the orientation only
+        if (a, first) not in self.prefix_right:
+            re, _ = checks.from_gpoly(self.seed_polys[a])
+            core = re[next(k for k, x in enumerate(re) if x):]
+            one, zero = checks.ZPoly([1]), checks.ZPoly([])
+            _, u_conn = plat.propagate(blocks, first, (one, zero),
+                                       (zero, checks.ZPoly([0, 1])),
+                                       stop_before=len(a) + 1)
+            self.prefix_right[(a, first)] = not checks.rem_monic(u_conn.c, core)
+        return self.prefix_right[(a, first)]
 
     def run_round(self):
         times, outs, failed = [], [], []
@@ -304,7 +320,7 @@ class Ors:
         for (a, n, c), got in zip(self.specs, rnd.outputs):
             if got is not None:
                 out += checks.ors_item(a, n, c, got[0], got[1],
-                                       checks.from_gpoly(self._seed_poly(a)),
+                                       checks.from_gpoly(self.seed_polys[a]),
                                        rng)
         return out
 
