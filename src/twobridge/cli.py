@@ -15,13 +15,7 @@ import sys
 import mpmath as mp
 
 from . import epi, geometry, riley
-from .coloring import (
-    ColoringError,
-    color_general_word,
-    rep_polynomial,
-    rep_poly_pair,
-    ui_sequence,
-)
+from .coloring import ColoringError, rep_polynomial, rep_poly_pair, ui_sequence
 from .conway import (
     ConwayWord,
     DescriptorError,
@@ -39,15 +33,20 @@ DIGITS = 8
 
 def _num(x):
     """Decimal string with DIGITS places, trailing zeros trimmed."""
-    s = mp.nstr(mp.mpf(x), DIGITS + 2, strip_zeros=False)
-    v = float(x)
-    out = ("%." + str(DIGITS) + "f") % v
+    out = ("%." + str(DIGITS) + "f") % float(x)
     out = out.rstrip("0").rstrip(".")
     return out if out not in ("", "-0") else "0"
 
 
 def _cnum(z):
     return {"re": _num(mp.re(z)), "im": _num(mp.im(z))}
+
+
+def _ctext(z):
+    """Text form of a complex number, e.g. 0.5-0.8660254i or 1+0i."""
+    im = _num(mp.im(z))
+    return "%s%s%si" % (_num(mp.re(z)), "-" if im[0] == "-" else "+",
+                        im.lstrip("-"))
 
 
 def _as_word(descriptor) -> ConwayWord:
@@ -76,9 +75,13 @@ def _pick_root(roots, spec):
         raise DescriptorError("--root is required")
     try:
         idx = int(spec)
-        return roots[idx]
-    except (ValueError, IndexError):
+    except ValueError:
         pass
+    else:
+        if not 0 <= idx < len(roots):
+            raise DescriptorError("--root index %d out of range 0..%d"
+                                  % (idx, len(roots) - 1))
+        return roots[idx]
     try:
         z = mp.mpc(complex(spec.replace("i", "j")))
     except ValueError:
@@ -135,6 +138,8 @@ def cmd_riley(args):
 
 def cmd_split(args):
     frac = _as_fraction(parse_descriptor(args.descriptor))
+    if not frac.is_knot:
+        raise DescriptorError("split applies to knots only")
     P = rep_polynomial(frac)
     s = riley.split_polynomial(P, frac.is_knot, precision=args.precision)
     doc = {"g": format_poly(s.g), "g_hat": format_poly(s.g_hat)}
@@ -147,8 +152,7 @@ def cmd_roots(args):
     roots = geometry.find_roots(P, precision=args.precision)
     doc = {"precision_bits": args.precision,
            "roots": [_cnum(r) for r in roots]}
-    _emit(args, doc, ["%s %+si" % (_num(mp.re(r)), _num(mp.im(r)))
-                      for r in roots])
+    _emit(args, doc, [_ctext(r) for r in roots])
 
 
 def _rep_at(args):
@@ -170,13 +174,10 @@ def cmd_reps(args):
         "arcs": {str(k): [_cnum(v[0]), _cnum(v[1])]
                  for k, v in sorted(rep.arc_vectors.items())},
     }
-    lines = ["root %s %+si  closure residual %s" %
-             (_num(mp.re(rep.root)), _num(mp.im(rep.root)),
-              doc["closure_residual"])]
+    lines = ["root %s  closure residual %s" %
+             (_ctext(rep.root), doc["closure_residual"])]
     for k, v in sorted(rep.arc_vectors.items()):
-        lines.append("arc %-4s (%s%+si, %s%+si)" % (
-            k, _num(mp.re(v[0])), _num(mp.im(v[0])),
-            _num(mp.re(v[1])), _num(mp.im(v[1]))))
+        lines.append("arc %-4s (%s, %s)" % (k, _ctext(v[0]), _ctext(v[1])))
     _emit(args, doc, lines)
 
 
@@ -184,8 +185,7 @@ def cmd_cusp(args):
     word, rep = _rep_at(args)
     data = geometry.region_coloring(rep)
     c = geometry.cusp_shape(data)
-    _emit(args, {"cusp_shape": _cnum(c)},
-          ["%s %+si" % (_num(mp.re(c)), _num(mp.im(c)))])
+    _emit(args, {"cusp_shape": _cnum(c)}, [_ctext(c)])
 
 
 def cmd_volume(args):
@@ -193,8 +193,7 @@ def cmd_volume(args):
     data = geometry.region_coloring(rep)
     v = geometry.complex_volume(data)
     _emit(args, {"vol_c": _cnum(v)},
-          ["%s %+si  (imaginary part mod pi^2)" %
-           (_num(mp.re(v)), _num(mp.im(v)))])
+          ["%s  (imaginary part mod pi^2)" % _ctext(v)])
 
 
 def cmd_epi(args):
@@ -237,7 +236,8 @@ def build_parser():
     )
     ap.add_argument("--format", choices=("text", "json"), default="text")
     ap.add_argument("--precision", type=int, default=256,
-                    help="working precision in bits (default 256)")
+                    help="working precision in bits, at least 53 "
+                         "(default 256)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add(name, fn, *flags, descriptor=True):
@@ -287,6 +287,9 @@ def build_parser():
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    if args.precision < 53:
+        print("error: --precision must be at least 53 bits", file=sys.stderr)
+        return 2
     try:
         args.fn(args)
     except (DescriptorError, ColoringError, epi.EpiError) as e:

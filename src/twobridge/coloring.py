@@ -4,8 +4,8 @@ The diagram model is a 4-strand plat read top to bottom.  Strand positions
 are numbered 0..3 left to right; bridge caps at the top join (0,1) and
 (2,3), the two initial vectors a (positions 0,1) and b (positions 2,3).
 Odd-numbered blocks twist the middle pair (1,2), even-numbered blocks the
-left pair (0,1); position 3 keeps the vector b throughout.  This wiring
-reproduces the standard even-expansion block graph:
+left pair (0,1); position 3 keeps the vector b throughout.  On an all-even
+word this wiring reproduces the paper's even-expansion block graph:
 
     a_{2,0} = a_{1,0},   b_{2,0} = a_{1,f},
     a_{2k+1,0} = b_{2k,f},  b_{2k+1,0} = b_{2k-1,f},
@@ -22,24 +22,23 @@ right-handed blocks and the left one for left-handed blocks.  A parallel
 pair therefore keeps d constant over the block while an anti-parallel
 pair alternates it (the strands trade places at every crossing).
 Left-handed blocks apply the inverse matrices.  Over a whole block this
-collapses to Chebyshev closed forms in t = -2 - u_i^2.
+collapses to Chebyshev closed forms in t = -2 - u_i^2 (block_transfer).
+
+There is one engine: color_plan propagates the vectors over a plan of any
+word, with or without a modulus, and forms both closure determinants.
+color_general_word colors any word; color_even_expansion is the same
+engine restricted to all-even words in their anti-parallel orientation,
+the paper's form, kept as an oracle.  rep_polynomial colors a fraction on
+its canonical word (the shortest one) and a word on itself.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
-from .conway import ConwayWord, Fraction, DescriptorError, canonical_word, \
-    even_expansion, normalize_zeros, slope
-from .polys import (
-    GPoly,
-    PolyMatrix2,
-    U,
-    rem_monic,
-    sign_normalize,
-    substitute_iu,
-    unit_normalize,
-)
+from .conway import ConwayWord, canonical_word, normalize_zeros, slope
+from .polys import GPoly, PolyMatrix2, U, rem_monic, sign_normalize, \
+    substitute_iu
 
 _ZERO = GPoly.zero()
 _ONE = GPoly.one()
@@ -223,7 +222,6 @@ class ColoringResult:
     orientation: tuple
     ui_sequence: tuple       # GPoly per block, u_1 = u
     rep_poly: GPoly          # sign-normalized, positive leading coefficient
-    rep_poly_raw: GPoly      # as computed, before normalization
     final_vectors: tuple     # ((f,g) of a_{k,f}, (f,g) of b_{k,f})
     is_knot: bool
 
@@ -272,36 +270,33 @@ def color_plan(plan: PlatPlan, modulus=None):
     return ui, vecs, raw, companion
 
 
-def _check_dual_closure(raw, companion, where):
+def _color(word: ConwayWord, plan: PlatPlan) -> ColoringResult:
+    """Color the plan and check that both closure determinants agree."""
+    ui, vecs, raw, companion = color_plan(plan)
     if companion != raw and companion != -raw:
         raise ColoringError(
-            "closure determinants disagree (%s): engine convention bug" % where
+            "closure determinants disagree (%s): engine convention bug" % word
         )
-
-
-def color_general_word(word: ConwayWord, orientation=None) -> ColoringResult:
-    """Color an arbitrary word (zero blocks tolerated) crossing by crossing."""
-    plan = plan_plat(word, orientation)
-    ui, vecs, raw, companion = color_plan(plan)
-    _check_dual_closure(raw, companion, str(word))
-    frac = slope(word)
-    k = plan.k
-    last_pair = (vecs[1], vecs[2]) if k % 2 == 1 else (vecs[0], vecs[1])
+    last_pair = (vecs[1], vecs[2]) if plan.k % 2 == 1 else (vecs[0], vecs[1])
     return ColoringResult(
         word=word,
         orientation=plan.orientation,
         ui_sequence=tuple(ui),
         rep_poly=sign_normalize(raw),
-        rep_poly_raw=raw,
         final_vectors=last_pair,
-        is_knot=frac.is_knot,
+        is_knot=slope(word).is_knot,
     )
 
 
-def color_even_expansion(word: ConwayWord, orientation=None) -> ColoringResult:
-    """Color an all-even word with the per-block Chebyshev closed forms.
+def color_general_word(word: ConwayWord, orientation=None) -> ColoringResult:
+    """Color an arbitrary word (zero blocks tolerated) crossing by crossing."""
+    return _color(word, plan_plat(word, orientation))
 
-    This is the normative engine: every block matrix is one of
+
+def color_even_expansion(word: ConwayWord, orientation=None) -> ColoringResult:
+    """Color an all-even word in the paper's form.
+
+    Every block is anti-parallel, so its transfer matrix is one of
     (X(u)X(-u))^n, (X(-u)X(u))^n written directly in terms of p_n at
     t = -2 - u_i^2.  The default orientation is the anti-parallel one of
     the even-expansion diagram, (d2, d3) = (1, -1).
@@ -313,38 +308,9 @@ def color_even_expansion(word: ConwayWord, orientation=None) -> ColoringResult:
         classes = consistent_orientations(j)
         orientation = (1, -1) if (1, -1) in classes else classes[0]
     plan = plan_plat(word, orientation)
-    vecs = [(_ONE, _ZERO), (_ONE, _ZERO), (_ZERO, _ONE), (_ZERO, _ONE)]
-    ui = []
-    for bp in plan.blocks:
-        L = bp.left
-        fL, gL = vecs[L]
-        fR, gR = vecs[L + 1]
-        u_i = (fL * gR - gL * fR) * U
-        ui.append(u_i)
-        half = bp.hand * (bp.count // 2)
-        if bp.parallel:
-            raise ColoringError("even-expansion orientation must alternate")
-        T = _pair_form(u_i, half, first_plus=(bp.delta0 * bp.hand > 0))
-        _apply_pair(vecs, L, T)
-    k = len(j)
-    if k % 2 == 1:
-        raw = vecs[2][0] * U
-        companion = (vecs[1][0] * vecs[0][1] - vecs[1][1] * vecs[0][0]) * U
-    else:
-        raw = vecs[0][0] * U
-        companion = (vecs[1][0] * vecs[2][1] - vecs[1][1] * vecs[2][0]) * U
-    _check_dual_closure(raw, companion, "even:%s" % word)
-    frac = slope(word)
-    last_pair = (vecs[1], vecs[2]) if k % 2 == 1 else (vecs[0], vecs[1])
-    return ColoringResult(
-        word=word,
-        orientation=plan.orientation,
-        ui_sequence=tuple(ui),
-        rep_poly=sign_normalize(raw),
-        rep_poly_raw=raw,
-        final_vectors=last_pair,
-        is_knot=frac.is_knot,
-    )
+    if any(bp.parallel for bp in plan.blocks):
+        raise ColoringError("even-expansion orientation must alternate")
+    return _color(word, plan)
 
 
 # -- public polynomial queries ------------------------------------------------
@@ -353,23 +319,16 @@ def color_even_expansion(word: ConwayWord, orientation=None) -> ColoringResult:
 def rep_polynomial(descriptor) -> GPoly:
     """The rep-polynomial of a fraction or word.
 
-    Knots have a single polynomial (orientation independent); it is computed
-    on the even expansion by the normative engine.  For link words the
-    both-components-downward variant of the given diagram is returned; for
-    link fractions, of the canonical word.
+    A fraction is colored on its canonical word, a word on itself, in the
+    default orientation of plan_plat.  Knots have a single polynomial
+    (orientation independent); for links this is the both-components-
+    downward variant.
     """
     if isinstance(descriptor, ConwayWord):
         word = normalize_zeros(descriptor)
-        frac = slope(word)
-        if frac.is_knot:
-            return color_general_word(word).rep_poly
-        return color_general_word(word, orientation=(1, 1)).rep_poly
-    frac = descriptor
-    if frac.alpha < 2:
-        raise DescriptorError("degenerate descriptor (unknot)")
-    if frac.is_knot:
-        return color_even_expansion(even_expansion(frac)).rep_poly
-    return color_general_word(canonical_word(frac), orientation=(1, 1)).rep_poly
+    else:
+        word = canonical_word(descriptor)
+    return color_general_word(word).rep_poly
 
 
 def rep_poly_pair(descriptor) -> tuple:

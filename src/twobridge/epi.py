@@ -16,12 +16,11 @@ import math
 
 from .conway import ConwayWord, Fraction, canonical_word, normalize_zeros, slope
 from .coloring import (
+    ColoringError,
     color_plan,
     plan_plat,
     rep_polynomial,
     rep_poly_pair,
-    iu_variant,
-    color_general_word,
 )
 from .polys import (
     GPoly,
@@ -159,7 +158,7 @@ def ors_factor_property(spec: OrsSpec, certify_exact: bool = True):
         for orientation in ((1, 1), (1, -1)):
             try:
                 plan = plan_plat(word, orientation)
-            except Exception:
+            except ColoringError:
                 continue
             _, _, raw, _ = color_plan(plan, modulus=core)
             if not raw.is_zero():
@@ -175,12 +174,11 @@ def ors_factor_property(spec: OrsSpec, certify_exact: bool = True):
             break
     if witness is None:
         raise EpiError("seed polynomial does not divide the expansion: bug")
-    if certify_exact and frac.alpha <= 400:
-        assert any(
+    if certify_exact and frac.alpha <= 400 and not any(
             divides(pa, p)
             for _, pa in candidates
-            for _, p in rep_poly_set(word)
-        )
+            for _, p in rep_poly_set(word)):
+        raise EpiError("exact division certificate failed for %s" % word)
     return word, witness
 
 
@@ -223,6 +221,8 @@ def build_record(frac: Fraction, geometry: bool = True, precision: int = 128):
         "word": list(word.blocks),
         "is_knot": frac.is_knot,
         "mirror_of": list(_mirror_key(frac)),
+        "geometry": geometry,
+        "precision_bits": precision,
     }
     P = rep_polynomial(frac)
     rec["rep_poly"] = poly_to_json(P)
@@ -273,36 +273,37 @@ def census_build(max_alpha: int, out=None, geometry: bool = True,
                  precision: int = 128, jobs: int = 1):
     """Build records for every class with alpha <= max_alpha plus the
     divisibility edges.  Writes JSONL to `out` (appending idempotently,
-    keyed by (alpha, beta)) when given; returns (records, edges)."""
+    keyed by (alpha, beta)) when given; returns (records, edges).
+
+    A record already in `out` is reused when it was built with the same
+    geometry flag and precision; only the other classes are built, in
+    `jobs` worker processes when jobs > 1."""
     if max_alpha < 3:
         raise EpiError("max_alpha must be >= 3")
     reps = class_representatives(max_alpha)
-    existing = {}
+    cached = {}
     if out is not None:
         try:
             with open(out) as fh:
                 for line in fh:
                     obj = json.loads(line)
-                    if "alpha" in obj and "beta" in obj:
-                        existing[(obj["alpha"], obj["beta"])] = obj
+                    if obj.get("geometry") == geometry and \
+                            obj.get("precision_bits") == precision:
+                        cached[(obj["alpha"], obj["beta"])] = obj
         except FileNotFoundError:
             pass
-
-    def one(frac):
-        key = (frac.alpha, frac.beta)
-        if key in existing and existing[key].get("type") != "edge":
-            return existing[key]
-        return build_record(frac, geometry=geometry, precision=precision)
-
+    todo = [(f.alpha, f.beta, geometry, precision) for f in reps
+            if (f.alpha, f.beta) not in cached]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as ex:
-            records = list(ex.map(_record_worker,
-                                  [(f.alpha, f.beta, geometry, precision)
-                                   for f in reps]))
+            built = list(ex.map(_record_worker, todo))
     else:
-        records = [one(f) for f in reps]
+        built = [_record_worker(args) for args in todo]
+    for rec in built:
+        cached[(rec["alpha"], rec["beta"])] = rec
+    records = [cached[(f.alpha, f.beta)] for f in reps]
 
     # cache polynomial sets once per class; mirror classes share them
     sets = {}

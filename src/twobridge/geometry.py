@@ -23,8 +23,8 @@ import random
 import mpmath as mp
 
 from .conway import ConwayWord
-from .polys import GPoly
-from .coloring import PlatPlan, plan_plat
+from .polys import GPoly, eval_poly
+from .coloring import BlockPlan, PlatPlan, plan_plat
 
 __all__ = [
     "GeometryError",
@@ -51,15 +51,6 @@ class GeometryError(ValueError):
 # ---------------------------------------------------------------------------
 # polynomial evaluation and root finding
 # ---------------------------------------------------------------------------
-
-
-def eval_poly(p: GPoly, z):
-    """Horner evaluation at current mpmath precision."""
-    acc = mp.mpc(0)
-    for k in range(p.degree, -1, -1):
-        c = p.coeff(k)
-        acc = acc * z + mp.mpc(c.re, c.im)
-    return acc
 
 
 _ABERTH_SEED = 0x2B57A9  # fixed: identical runs give identical root order
@@ -98,21 +89,22 @@ def find_roots(p: GPoly, precision: int = 256, max_sweeps: int = 400):
     raise last_err
 
 
+def _horner(cs, x):
+    """cs[0] + cs[1] x + ... + cs[-1] x^(len-1), in the number type of cs."""
+    acc = cs[-1]
+    for c in reversed(cs[:-1]):
+        acc = acc * x + c
+    return acc
+
+
 def _aberth_sweeps(coeffs, dcoeffs, z, tol, max_sweeps, one):
     """Aberth-Ehrlich synchronous sweeps over a generic complex type."""
     n = len(z)
-
-    def val(cs, x):
-        acc = 0 * one
-        for c in reversed(cs):
-            acc = acc * x + c
-        return acc
-
     for _ in range(max_sweeps):
         moved = 0.0
         for j in range(n):
-            pj = val(coeffs, z[j])
-            dj = val(dcoeffs, z[j])
+            pj = _horner(coeffs, z[j])
+            dj = _horner(dcoeffs, z[j])
             if dj == 0:
                 z[j] = z[j] * (1 + tol) + tol
                 moved = 1.0
@@ -165,26 +157,20 @@ def _aberth(q: GPoly, bits: int, max_sweeps: int):
         else:
             z = [mp.mpc(x) for x in z0]
 
-        def val(cs, x):
-            acc = mp.mpc(0)
-            for c in reversed(cs):
-                acc = acc * x + c
-            return acc
-
         # Newton refinement doubles correct digits per step
         steps = 3 + max(0, bits - 40).bit_length()
         for j in range(n):
             for _ in range(steps):
-                dj = val(dcoeffs, z[j])
+                dj = _horner(dcoeffs, z[j])
                 if dj == 0:
                     break
-                z[j] = z[j] - val(coeffs, z[j]) / dj
+                z[j] = z[j] - _horner(coeffs, z[j]) / dj
         # residual gate
         norm = max(abs(c) for c in coeffs)
         bound = mp.mpf(2) ** (-bits // 2) * norm
         for j in range(n):
             scale = max(mp.mpf(1), abs(z[j])) ** n
-            if abs(val(coeffs, z[j])) > bound * scale:
+            if abs(_horner(coeffs, z[j])) > bound * scale:
                 raise GeometryError(
                     "root residual bound missed at %d bits" % bits
                 )
@@ -248,6 +234,20 @@ def _det(x, y):
     return x[0] * y[1] - x[1] * y[0]
 
 
+def _cross(vecs, bp: BlockPlan, s: int):
+    """Apply crossing s of block bp to the numeric vectors in place:
+    (a', b') = (a, b) X(delta*u)^hand on the block's strand pair."""
+    L = bp.left
+    delta = bp.delta0 if bp.parallel else bp.delta0 * (-1) ** s
+    du = delta * _det(vecs[L], vecs[L + 1])
+    xL, xR = vecs[L], vecs[L + 1]
+    if bp.hand > 0:
+        vecs[L], vecs[L + 1] = xR, (-xL[0] - du * xR[0], -xL[1] - du * xR[1])
+    else:
+        # X(v)^-1 = [[-v, 1], [-1, 0]]
+        vecs[L], vecs[L + 1] = (-du * xL[0] - xR[0], -du * xL[1] - xR[1]), xL
+
+
 def _numeric_trace(plan: PlatPlan, r, closure_tol) -> tuple:
     """Propagate numeric vectors crossing by crossing, recording pieces,
     region quadruples and the plat closure residual."""
@@ -256,7 +256,6 @@ def _numeric_trace(plan: PlatPlan, r, closure_tol) -> tuple:
     vecs = [a, a, b, b]
     dirs = [-plan.orientation[0], plan.orientation[0],
             plan.orientation[1], -plan.orientation[1]]
-    piece_serial = [0, 1, 2, 3]
     next_piece = 4
     pieces = {0: (a, dirs[0]), 1: (a, dirs[1]), 2: (b, dirs[2]), 3: (b, dirs[3])}
     # zones 0..4; initial regions: outer 0, below bridge caps 1 and 2
@@ -268,18 +267,7 @@ def _numeric_trace(plan: PlatPlan, r, closure_tol) -> tuple:
         L = bp.left
         z = L + 1  # zone between positions L and L+1
         for s in range(bp.count):
-            delta = bp.delta0 if bp.parallel else bp.delta0 * (-1) ** s
-            u_loc = _det(vecs[L], vecs[L + 1])
-            xL, xR = vecs[L], vecs[L + 1]
-            # (a', b') = (a, b) X(delta*u)^hand
-            du = delta * u_loc
-            if bp.hand > 0:
-                new_L = xR
-                new_R = (-xL[0] - du * xR[0], -xL[1] - du * xR[1])
-            else:
-                # X(v)^-1 = [[-v, 1], [-1, 0]]
-                new_L = (-du * xL[0] - xR[0], -du * xL[1] - xR[1])
-                new_R = xL
+            _cross(vecs, bp, s)
             sign = bp.hand * dirs[L] * dirs[L + 1]
             north = zone[z]
             south = next_region
@@ -289,13 +277,11 @@ def _numeric_trace(plan: PlatPlan, r, closure_tol) -> tuple:
                           sign=sign, dirs=(dirs[L], dirs[L + 1]))
             )
             zone[z] = south
-            vecs[L], vecs[L + 1] = new_L, new_R
             dirs[L], dirs[L + 1] = dirs[L + 1], dirs[L]
             pid_L, pid_R = next_piece, next_piece + 1
             next_piece += 2
-            piece_serial[L], piece_serial[L + 1] = pid_L, pid_R
-            pieces[pid_L] = (new_L, dirs[L])
-            pieces[pid_R] = (new_R, dirs[L + 1])
+            pieces[pid_L] = (vecs[L], dirs[L])
+            pieces[pid_R] = (vecs[L + 1], dirs[L + 1])
             adjacency.append((zone[z - 1], south, pid_L))
             adjacency.append((south, zone[z + 1], pid_R))
     # bottom closure: identify the open zone with its wrap-around region and
@@ -522,22 +508,29 @@ def cusp_shape(data: RegionData):
 def gluing_residual(data: RegionData):
     """max_k |exp(w_k dW/dw_k) - 1|: the w-variables must satisfy the gluing
     equations at a genuine representation."""
-    rep = data.rep
-    with mp.workprec(rep.precision):
-        Li2 = lambda z: mp.polylog(2, z)
-        grad = {reg: mp.mpc(0) for reg in data.w}
-        for cr in rep.trace.crossings:
-            regions = _label_regions(cr)
-            wa, wb, wc, wd = (data.w[r] for r in regions)
-            _, g = _potential_terms(
-                wa, wb, wc, wd, cr.sign == _MINUS_BRANCH_SIGN, Li2, mp.log
-            )
-            for pos, name in enumerate("abcd"):
-                grad[regions[pos]] += g[name]
+    with mp.workprec(data.rep.precision):
+        _, grad = _potential(data)
         return max(abs(mp.exp(v) - 1) for v in grad.values())
 
 
-def _potential_terms(wa, wb, wc, wd, minus_branch: bool, Li2, Log):
+def _potential(data: RegionData):
+    """(W, {region: w dW/dw}) summed over the crossings, at the current
+    mpmath precision."""
+    W = mp.mpc(0)
+    grad = {reg: mp.mpc(0) for reg in data.w}
+    for cr in data.rep.trace.crossings:
+        regions = _label_regions(cr)
+        wa, wb, wc, wd = (data.w[r] for r in regions)
+        term, g = _potential_terms(
+            wa, wb, wc, wd, cr.sign == _MINUS_BRANCH_SIGN
+        )
+        W += term
+        for pos, name in enumerate("abcd"):
+            grad[regions[pos]] += g[name]
+    return W, grad
+
+
+def _potential_terms(wa, wb, wc, wd, minus_branch: bool):
     """(W_term, {label: w dW/dw}) for one crossing."""
     if minus_branch:
         zs = (
@@ -547,8 +540,8 @@ def _potential_terms(wa, wb, wc, wd, minus_branch: bool, Li2, Log):
             (+1, wc / wb, ("c",), ("b",)),
             (+1, (wb * wd) / (wa * wc), ("b", "d"), ("a", "c")),
         )
-        log_ab = Log(wa / wb)
-        log_cb = Log(wc / wb)
+        log_ab = mp.log(wa / wb)
+        log_cb = mp.log(wc / wb)
         W = -mp.pi ** 2 / 6 + log_ab * log_cb
         grad = {"a": log_cb, "c": log_ab, "b": -log_ab - log_cb, "d": 0}
     else:
@@ -559,13 +552,13 @@ def _potential_terms(wa, wb, wc, wd, minus_branch: bool, Li2, Log):
             (-1, wd / wc, ("d",), ("c",)),
             (-1, (wa * wc) / (wb * wd), ("a", "c"), ("b", "d")),
         )
-        log_bc = Log(wb / wc)
-        log_dc = Log(wd / wc)
+        log_bc = mp.log(wb / wc)
+        log_dc = mp.log(wd / wc)
         W = mp.pi ** 2 / 6 - log_bc * log_dc
         grad = {"b": -log_dc, "d": -log_bc, "c": log_dc + log_bc, "a": 0}
     for sgn, z, nums, dens in zs:
-        W += sgn * Li2(z)
-        dlog = Log(1 - z)
+        W += sgn * mp.polylog(2, z)
+        dlog = mp.log(1 - z)
         for v in nums:
             grad[v] = grad[v] - sgn * dlog
         for v in dens:
@@ -578,24 +571,10 @@ def complex_volume(data: RegionData, reduce: bool = True):
 
     The imaginary part (the Chern-Simons part) is well defined mod pi^2 and
     is reduced into [0, pi^2) when reduce is True."""
-    rep = data.rep
-    with mp.workprec(rep.precision):
-        Li2 = lambda z: mp.polylog(2, z)
-        Log = mp.log
-        W = mp.mpc(0)
-        grad = {reg: mp.mpc(0) for reg in data.w}
-        for cr in rep.trace.crossings:
-            regions = _label_regions(cr)
-            wa, wb, wc, wd = (data.w[r] for r in regions)
-            term, g = _potential_terms(
-                wa, wb, wc, wd, cr.sign == _MINUS_BRANCH_SIGN, Li2, Log
-            )
-            W += term
-            for pos, name in enumerate("abcd"):
-                grad[regions[pos]] += g[name]
-        W0 = W
+    with mp.workprec(data.rep.precision):
+        W0, grad = _potential(data)
         for reg, gval in grad.items():
-            W0 -= gval * Log(data.w[reg])
+            W0 -= gval * mp.log(data.w[reg])
         vol = W0 / mp.mpc(0, 1)
         return volume_reduce(vol) if reduce else vol
 
@@ -645,7 +624,6 @@ def block_holonomy_traces(rep: ParabolicRep):
         # replay vectors block by block to capture entering pairs
         vecs = [a, a, b, b]
         out = []
-        idx = 0
         for bp in plan.blocks:
             L = bp.left
             A = meridian_matrix(vecs[L])
@@ -653,18 +631,5 @@ def block_holonomy_traces(rep: ParabolicRep):
             M = _mat_mul(A, B)
             out.append(M[0][0] + M[1][1])
             for s in range(bp.count):
-                delta = bp.delta0 if bp.parallel else bp.delta0 * (-1) ** s
-                u_loc = _det(vecs[L], vecs[L + 1])
-                du = delta * u_loc
-                xL, xR = vecs[L], vecs[L + 1]
-                if bp.hand > 0:
-                    vecs[L], vecs[L + 1] = xR, (
-                        -xL[0] - du * xR[0],
-                        -xL[1] - du * xR[1],
-                    )
-                else:
-                    vecs[L], vecs[L + 1] = (
-                        -du * xL[0] - xR[0],
-                        -du * xL[1] - xR[1],
-                    ), xL
+                _cross(vecs, bp, s)
         return out

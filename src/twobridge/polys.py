@@ -119,20 +119,10 @@ class GPoly:
     def coeffs(self) -> list:
         return [GaussInt(r, i) for r, i in zip(self._re, self._im)]
 
-    def int_coeffs(self) -> list:
-        """Real integer coefficient list; raises if any coefficient is non-real."""
-        if not self.is_real():
-            raise ValueError("polynomial has non-real coefficients")
-        return list(self._re)
-
     def leading(self) -> GaussInt:
         if not self._re:
             return GaussInt(0)
         return GaussInt(self._re[-1], self._im[-1])
-
-    def is_monic_up_to_unit(self) -> bool:
-        lc = self.leading()
-        return (abs(lc.re), abs(lc.im)) in ((1, 0), (0, 1))
 
     # -- ring operations ----------------------------------------------
 
@@ -225,12 +215,6 @@ class GPoly:
         re = [(-c if k & 1 else c) for k, c in enumerate(self._re)]
         im = [(-c if k & 1 else c) for k, c in enumerate(self._im)]
         return GPoly(re, im)
-
-    def derivative(self) -> "GPoly":
-        return GPoly(
-            [k * c for k, c in enumerate(self._re)][1:],
-            [k * c for k, c in enumerate(self._im)][1:],
-        )
 
     def compose(self, inner: "GPoly") -> "GPoly":
         """self(inner(u)) by Horner's scheme, exact."""
@@ -355,16 +339,20 @@ def rem_monic(num: GPoly, den: GPoly) -> GPoly:
 # -- numeric evaluation -------------------------------------------------
 
 
+def eval_poly(p: GPoly, z):
+    """p(z) by Horner's scheme at the current mpmath precision."""
+    acc = mp.mpc(0)
+    for k in range(p.degree, -1, -1):
+        acc = acc * z + mp.mpc(p._re[k], p._im[k])
+    return acc
+
+
 def eval_complex(p: GPoly, z, precision: int = 53):
     """Horner evaluation of p at a complex point, at `precision` working bits."""
     if precision < 53:
         raise ValueError("precision must be at least 53 bits")
     with mp.workprec(precision):
-        zz = mp.mpc(z)
-        acc = mp.mpc(0)
-        for k in range(p.degree, -1, -1):
-            acc = acc * zz + mp.mpc(p._re[k], p._im[k])
-        return acc
+        return eval_poly(p, mp.mpc(z))
 
 
 # -- substitutions and normal forms ---------------------------------------
@@ -499,10 +487,6 @@ class PolyMatrix2:
         if self.det() != _ONE:
             raise ValueError("matrix is not unimodular")
         return PolyMatrix2(self.a22, -self.a12, -self.a21, self.a11)
-
-    def scalar_mul(self, c) -> "PolyMatrix2":
-        c = _as_poly(c)
-        return PolyMatrix2(self.a11 * c, self.a12 * c, self.a21 * c, self.a22 * c)
 
     def __pow__(self, n: int) -> "PolyMatrix2":
         base = self if n >= 0 else self.inverse_unimodular()

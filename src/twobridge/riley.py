@@ -15,12 +15,11 @@ P(u) = +- u^eps * R(u^2) with eps = 1 for knots, 2 for links.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 
 import mpmath as mp
 
 from .conway import Fraction
-from .polys import GPoly, exact_divide, expand_at_u_squared, sign_normalize
+from .polys import GPoly, eval_poly, expand_at_u_squared
 
 _Y = GPoly([0, 1])
 _ONE = GPoly([1])
@@ -240,11 +239,7 @@ def unit_certificate(P: GPoly, r, precision: int = 256):
     Q = P.strip_power(1)
     with mp.workprec(precision):
         z = mp.mpc(r)
-        acc = mp.mpc(0)
-        for k in range(Q.degree, 1, -1):
-            c = Q.coeff(k)
-            acc = acc * z + mp.mpc(c.re, c.im)
-        val = acc * z * z
+        val = eval_poly(GPoly.from_coeffs(Q.coeffs()[2:]), z) * z * z
         res_plus = abs(val - 1)
         res_minus = abs(val + 1)
         if res_plus <= res_minus:

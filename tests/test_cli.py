@@ -1,0 +1,81 @@
+import pytest
+
+from twobridge import cli
+
+
+def run(capsys, *argv):
+    rc = cli.main(list(argv))
+    out, err = capsys.readouterr()
+    return rc, out, err
+
+
+class TestPrecision:
+    @pytest.mark.parametrize("bits", ["8", "0", "-1", "52"])
+    def test_below_53_is_a_usage_error(self, capsys, bits):
+        rc, out, err = run(capsys, "--precision", bits, "roots", "2/5")
+        assert rc == 2
+        assert out == ""
+        assert "precision" in err
+
+    def test_53_is_accepted(self, capsys):
+        rc, out, _ = run(capsys, "--precision", "53", "roots", "2/5")
+        assert rc == 0
+        assert "0.5+0.8660254i" in out.split()
+
+
+class TestRootIndex:
+    @pytest.mark.parametrize("spec", ["99", "4", "-1"])
+    def test_out_of_range_index(self, capsys, spec):
+        # 2/5 has four nonzero roots: valid indices are 0..3
+        rc, out, err = run(capsys, "reps", "2/5", "--root", spec)
+        assert rc == 2
+        assert out == ""
+        assert "out of range" in err
+
+    def test_last_index_and_anchor(self, capsys):
+        rc, by_index, _ = run(capsys, "reps", "2/5", "--root", "3")
+        assert rc == 0
+        rc, by_anchor, _ = run(capsys, "reps", "2/5", "--root", "0.5+0.87i")
+        assert rc == 0
+        assert by_index == by_anchor
+
+
+class TestSplit:
+    def test_link_is_a_usage_error(self, capsys):
+        rc, out, err = run(capsys, "split", "3/8")
+        assert rc == 2
+        assert out == ""
+
+    def test_knot(self, capsys):
+        rc, out, _ = run(capsys, "split", "2/5")
+        assert rc == 0
+        assert out.splitlines() == ["g    = u^2 + u + 1",
+                                    "ghat = u^2 - u + 1"]
+
+
+class TestComplexText:
+    def test_roots(self, capsys):
+        rc, out, _ = run(capsys, "roots", "2/5")
+        assert rc == 0
+        assert out.splitlines() == [
+            "0+0i", "-0.5-0.8660254i", "-0.5+0.8660254i",
+            "0.5-0.8660254i", "0.5+0.8660254i"]
+
+    def test_reps(self, capsys):
+        rc, out, _ = run(capsys, "reps", "2/5", "--root", "0")
+        assert rc == 0
+        lines = out.splitlines()
+        assert lines[0].startswith("root -0.5-0.8660254i ")
+        assert lines[1] == "arc 0    (1+0i, 0+0i)"
+        assert "arc 5    (-1+0i, -0.5+0.8660254i)" in lines
+
+    def test_cusp(self, capsys):
+        rc, out, _ = run(capsys, "cusp", "2/5", "--root", "1")
+        assert rc == 0
+        assert out == "0+3.46410162i\n"
+
+    def test_volume(self, capsys):
+        rc, out, _ = run(capsys, "volume", "2/5", "--root", "1")
+        assert rc == 0
+        value = out.split()[0]
+        assert value.startswith("-2.02988321+") and value.endswith("i")

@@ -1,9 +1,15 @@
+import concurrent.futures
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import twobridge
+from twobridge import epi
 from twobridge.conway import ConwayWord, Fraction, normalize_zeros, \
     parse_descriptor, slope
 from twobridge.coloring import color_plan, plan_plat, rep_polynomial
@@ -96,6 +102,40 @@ class TestOrsFactorProperty:
             word, witness = ors_factor_property(spec)
             assert witness in ("P_A", "P_A(iu)")
 
+    def test_certificate_failure_raises(self, monkeypatch):
+        monkeypatch.setattr(epi, "divides", lambda den, num: False)
+        with pytest.raises(EpiError):
+            ors_factor_property(OrsSpec(ConwayWord((3,)), 3, (1, 0)))
+
+    def test_certificate_failure_raises_under_optimize(self):
+        # the certificate must not be an assert, which -O removes
+        code = (
+            "from twobridge import epi\n"
+            "from twobridge.conway import ConwayWord\n"
+            "epi.divides = lambda den, num: False\n"
+            "spec = epi.OrsSpec(ConwayWord((3,)), 3, (1, 0))\n"
+            "try:\n"
+            "    epi.ors_factor_property(spec)\n"
+            "except epi.EpiError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n"
+        )
+        src = os.path.dirname(os.path.dirname(twobridge.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            x for x in (src, env.get("PYTHONPATH")) if x)
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_plan_errors_other_than_coloring_propagate(self, monkeypatch):
+        def broken(word, orientation=None):
+            raise RuntimeError("not an orientation problem")
+
+        monkeypatch.setattr(epi, "plan_plat", broken)
+        with pytest.raises(RuntimeError):
+            ors_factor_property(OrsSpec(ConwayWord((3,)), 2, (1,)))
+
     def test_randomized(self):
         rng = random.Random(4242)
         done = 0
@@ -163,6 +203,61 @@ class TestCensus:
         bykey = {(r["alpha"], r["beta"]): r for r in recs}
         assert bykey[(3, 1)]["rep_poly_text"] == "u^3 - u"
         assert bykey[(3, 1)]["mirror_of"] == [3, 2]
+
+    def test_cache_keyed_by_geometry(self, tmp_path):
+        out = str(tmp_path / "census.jsonl")
+        census_build(5, out=out, geometry=False)
+        records, _ = census_build(5, out=out, geometry=True)
+        knots = [r for r in records if r["is_knot"]]
+        assert knots and all(r["representations"] for r in knots)
+        assert all(r["geometry"] for r in records)
+
+    def test_cache_keyed_by_precision(self, tmp_path):
+        out = str(tmp_path / "census.jsonl")
+        census_build(5, out=out, geometry=False, precision=128)
+        records, _ = census_build(5, out=out, geometry=False, precision=192)
+        assert {r["precision_bits"] for r in records} == {192}
+        with open(out) as fh:
+            stored = [json.loads(l) for l in fh]
+        assert {r["precision_bits"] for r in stored if "alpha" in r} == {192}
+
+    def test_parallel_builds_only_misses(self, tmp_path, monkeypatch):
+        out = tmp_path / "census.jsonl"
+        census_build(7, out=str(out), geometry=False)
+        full = out.read_text()
+        lines = full.splitlines(True)
+        out.write_text("".join(
+            l for l in lines
+            if (json.loads(l).get("alpha"), json.loads(l).get("beta")) != (5, 2)))
+        sent = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                items = list(items)
+                sent.extend(items)
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            InlinePool)
+        census_build(7, out=str(out), geometry=False, jobs=2)
+        assert sent == [(5, 2, False, 128)]
+        assert out.read_text() == full
+
+    def test_parallel_matches_serial(self, tmp_path):
+        serial, serial_edges = census_build(5, geometry=False)
+        out = str(tmp_path / "census.jsonl")
+        census_build(4, out=out, geometry=False)
+        records, edges = census_build(5, out=out, geometry=False, jobs=2)
+        assert records == serial and edges == serial_edges
 
     def test_record_geometry(self):
         rec = build_record(Fraction(5, 2), geometry=True, precision=128)
