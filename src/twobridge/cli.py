@@ -17,14 +17,13 @@ import mpmath as mp
 from . import epi, geometry, riley
 from .coloring import ColoringError, rep_polynomial, rep_poly_pair, ui_sequence
 from .conway import (
-    ConwayWord,
     DescriptorError,
     Fraction,
     canonical_word,
     even_expansion,
-    normalize_zeros,
     parse_descriptor,
     slope,
+    word_of,
 )
 from .polys import format_poly, poly_to_json
 
@@ -49,16 +48,9 @@ def _ctext(z):
                         im.lstrip("-"))
 
 
-def _as_word(descriptor) -> ConwayWord:
-    if isinstance(descriptor, ConwayWord):
-        return descriptor
-    return canonical_word(descriptor)
-
-
-def _as_fraction(descriptor) -> Fraction:
-    if isinstance(descriptor, Fraction):
-        return descriptor
-    return slope(descriptor)
+def _word(args):
+    """The descriptor argument as the word it is colored on."""
+    return word_of(parse_descriptor(args.descriptor))
 
 
 def _emit(args, doc, text_lines):
@@ -90,7 +82,7 @@ def _pick_root(roots, spec):
 
 
 def cmd_slope(args):
-    frac = _as_fraction(parse_descriptor(args.descriptor))
+    frac = slope(_word(args))
     doc = {"alpha": frac.alpha, "beta": frac.beta,
            "is_knot": frac.is_knot}
     _emit(args, doc, ["%d/%d  (%s)" % (frac.beta, frac.alpha,
@@ -98,46 +90,44 @@ def cmd_slope(args):
 
 
 def cmd_canon(args):
-    word = canonical_word(_as_fraction(parse_descriptor(args.descriptor)))
+    word = canonical_word(slope(_word(args)))
     _emit(args, {"word": list(word.blocks)}, [str(word)])
 
 
 def cmd_even(args):
-    word = even_expansion(_as_fraction(parse_descriptor(args.descriptor)))
+    word = even_expansion(slope(_word(args)))
     _emit(args, {"word": list(word.blocks)}, [str(word)])
 
 
 def cmd_reppoly(args):
-    d = parse_descriptor(args.descriptor)
-    frac = _as_fraction(d)
-    if frac.is_knot or isinstance(d, Fraction):
-        p = rep_polynomial(d)
+    word = _word(args)
+    if slope(word).is_knot:
+        p = rep_polynomial(word)
         doc = {"rep_poly": format_poly(p), "coeffs": poly_to_json(p)}
         _emit(args, doc, [format_poly(p)])
     else:
-        p1, p2 = rep_poly_pair(d)
+        p1, p2 = rep_poly_pair(word)
         doc = {"rep_poly": format_poly(p1), "rep_poly_iu": format_poly(p2),
                "coeffs": poly_to_json(p1)}
         _emit(args, doc, [format_poly(p1), format_poly(p2)])
 
 
 def cmd_uiseq(args):
-    word = normalize_zeros(_as_word(parse_descriptor(args.descriptor)))
-    seq = ui_sequence(word)
+    seq = ui_sequence(_word(args))
     doc = {"ui_sequence": [format_poly(p) for p in seq]}
     _emit(args, doc, ["u_%d = %s" % (i + 1, format_poly(p))
                       for i, p in enumerate(seq)])
 
 
 def cmd_riley(args):
-    frac = _as_fraction(parse_descriptor(args.descriptor))
+    frac = slope(_word(args))
     R = riley.riley_polynomial(frac)
     doc = {"riley_poly": format_poly(R, "y"), "coeffs": poly_to_json(R)}
     _emit(args, doc, [format_poly(R, "y")])
 
 
 def cmd_split(args):
-    frac = _as_fraction(parse_descriptor(args.descriptor))
+    frac = slope(_word(args))
     if not frac.is_knot:
         raise DescriptorError("split applies to knots only")
     P = rep_polynomial(frac)
@@ -147,8 +137,7 @@ def cmd_split(args):
 
 
 def cmd_roots(args):
-    d = parse_descriptor(args.descriptor)
-    P = rep_polynomial(d)
+    P = rep_polynomial(_word(args))
     roots = geometry.find_roots(P, precision=args.precision)
     doc = {"precision_bits": args.precision,
            "roots": [_cnum(r) for r in roots]}
@@ -156,9 +145,8 @@ def cmd_roots(args):
 
 
 def _rep_at(args):
-    d = parse_descriptor(args.descriptor)
-    word = normalize_zeros(_as_word(d))
-    P = rep_polynomial(d)
+    word = _word(args)
+    P = rep_polynomial(word)
     roots = [r for r in geometry.find_roots(P, precision=args.precision)
              if abs(r) > 1e-12]
     r = _pick_root(roots, args.root)
@@ -208,7 +196,10 @@ def cmd_epi(args):
 
 
 def cmd_ors(args):
-    seed = _as_word(parse_descriptor(args.seed))
+    seed = parse_descriptor(args.seed)
+    if isinstance(seed, Fraction):
+        # a word is kept as written: ors_word copies its blocks verbatim
+        seed = canonical_word(seed)
     c = tuple(int(x) for x in args.c.split(",")) if args.c else ()
     signs = (tuple(int(x) for x in args.signs.split(","))
              if args.signs else None)

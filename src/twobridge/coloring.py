@@ -36,9 +36,9 @@ from __future__ import annotations
 
 import dataclasses
 
-from .conway import ConwayWord, canonical_word, normalize_zeros, slope
-from .polys import GPoly, PolyMatrix2, U, rem_monic, sign_normalize, \
-    substitute_iu
+from .conway import ConwayWord, slope, word_of
+from .polys import GPoly, PolyMatrix2, U, cheb, p_window, rem_monic, \
+    sign_normalize, substitute_iu
 
 _ZERO = GPoly.zero()
 _ONE = GPoly.one()
@@ -95,10 +95,16 @@ def _trace_directions(j_blocks, d2: int, d3: int):
     return d, per_block
 
 
+def bottom_caps(k: int) -> tuple:
+    """The bottom closure of a k-block plat: entry i is the position that
+    the bottom caps join to position i.  The caps join (0,1) and (2,3) when
+    k is odd, (1,2) and (0,3) when k is even."""
+    return (1, 0, 3, 2) if k % 2 == 1 else (3, 2, 1, 0)
+
+
 def _closure_consistent(j_blocks, d) -> bool:
-    if len(j_blocks) % 2 == 1:
-        return d[0] == -d[1] and d[2] == -d[3]
-    return d[0] == -d[3] and d[1] == -d[2]
+    cap = bottom_caps(len(j_blocks))
+    return all(d[i] == -d[cap[i]] for i in range(4))
 
 
 def consistent_orientations(j_blocks) -> list:
@@ -150,23 +156,9 @@ def plan_plat(word: ConwayWord, orientation=None) -> PlatPlan:
 # -- block transfer matrices ------------------------------------------------
 
 
-def _p_window(t: GPoly, n: int):
-    """(p_{n-1}(t), p_n(t), p_{n+1}(t)) for any integer n, iteratively."""
-    m = abs(n)
-    x0, x1 = _ZERO, _ONE  # p_0, p_1
-    for _ in range(m):
-        x0, x1 = x1, t * x1 - x0
-    # x0 = p_m, x1 = p_{m+1}; p_{m-1} = t p_m - p_{m+1}
-    pm_minus = t * x0 - x1
-    if n >= 0:
-        return pm_minus, x0, x1
-    # p_{-m +/- 1} = -p_{m -/+ 1}
-    return -x1, -x0, -pm_minus
-
-
 def _x_power(v: GPoly, k: int) -> PolyMatrix2:
     """X(v)^k = [[-p_{k-1}, -p_k], [p_k, p_{k+1}]] evaluated at -v."""
-    p0, p1, p2 = _p_window(-v, k)
+    p0, p1, p2 = p_window(-v, k)
     return PolyMatrix2(-p0, -p1, p1, p2)
 
 
@@ -177,7 +169,7 @@ def _pair_form(u_i: GPoly, n: int, first_plus: bool) -> PolyMatrix2:
         [[-(p_{n-1}+p_n), -+u p_n], [-+u p_n, p_n+p_{n+1}]].
     """
     t = -(u_i * u_i) - 2
-    p0, p1, p2 = _p_window(t, n)
+    p0, p1, p2 = p_window(t, n)
     off = -(u_i * p1) if first_plus else u_i * p1
     return PolyMatrix2(-(p0 + p1), off, off, p1 + p2)
 
@@ -233,9 +225,11 @@ class ColoringResult:
 def color_plan(plan: PlatPlan, modulus=None):
     """Run the propagation.  Returns (ui_list, vecs, raw_P, companion_P).
 
-    raw_P is <b_{k,f}, b> (k odd) or <a_{k,f}, b> (k even); companion_P is
-    the other closure determinant <a_{k,f}, a_{k-1,f}> resp.
-    <b_{k,f}, b_{k-1,f}>, which must agree with raw_P up to sign.
+    The closure determinants are read at the bottom caps: raw_P is <x, b>
+    for the vector x capped to position 3, which keeps b: <b_{k,f}, b>
+    (k odd) or <a_{k,f}, b> (k even).  companion_P is <y, z> for the vectors
+    y at position 1 and z capped to it: <a_{k,f}, a_{k-1,f}> resp.
+    <b_{k,f}, b_{k-1,f}>.  It must agree with raw_P up to sign.
 
     With a monic integer modulus, all vector components and the closure
     polynomials are reduced mod it (used for divisibility tests at scale).
@@ -253,18 +247,14 @@ def color_plan(plan: PlatPlan, modulus=None):
         if bp.count:
             T = block_transfer(u_i, bp)
             _apply_pair(vecs, L, T, modulus)
-    k = plan.k
 
     def det_u(x, y):
         d = (x[0] * y[1] - x[1] * y[0]) * U
         return rem_monic(d, modulus) if modulus is not None else d
 
-    if k % 2 == 1:
-        raw = vecs[2][0] * U          # <b_{k,f}, b>
-        companion = det_u(vecs[1], vecs[0])   # <a_{k,f}, a_{k-1,f}>
-    else:
-        raw = vecs[0][0] * U          # <a_{k,f}, b>
-        companion = det_u(vecs[1], vecs[2])   # <b_{k,f}, b_{k-1,f}>
+    cap = bottom_caps(plan.k)
+    raw = vecs[cap[3]][0] * U   # <x, b> = f * u for x = (f, g)
+    companion = det_u(vecs[1], vecs[cap[1]])
     if modulus is not None:
         raw = rem_monic(raw, modulus)
     return ui, vecs, raw, companion
@@ -277,13 +267,13 @@ def _color(word: ConwayWord, plan: PlatPlan) -> ColoringResult:
         raise ColoringError(
             "closure determinants disagree (%s): engine convention bug" % word
         )
-    last_pair = (vecs[1], vecs[2]) if plan.k % 2 == 1 else (vecs[0], vecs[1])
+    L = plan.blocks[-1].left
     return ColoringResult(
         word=word,
         orientation=plan.orientation,
         ui_sequence=tuple(ui),
         rep_poly=sign_normalize(raw),
-        final_vectors=last_pair,
+        final_vectors=(vecs[L], vecs[L + 1]),
         is_knot=slope(word).is_knot,
     )
 
@@ -324,22 +314,14 @@ def rep_polynomial(descriptor) -> GPoly:
     (orientation independent); for links this is the both-components-
     downward variant.
     """
-    if isinstance(descriptor, ConwayWord):
-        word = normalize_zeros(descriptor)
-    else:
-        word = canonical_word(descriptor)
-    return color_general_word(word).rep_poly
+    return color_general_word(word_of(descriptor)).rep_poly
 
 
 def rep_poly_pair(descriptor) -> tuple:
     """Both rep-polynomials of a link, each unit-normalized to integer
     coefficients; the first is the both-downward variant.  Raises on knots."""
-    if isinstance(descriptor, ConwayWord):
-        word = normalize_zeros(descriptor)
-    else:
-        word = canonical_word(descriptor)
-    frac = slope(word)
-    if frac.is_knot:
+    word = word_of(descriptor)
+    if slope(word).is_knot:
         raise ColoringError("knots have a single rep-polynomial")
     p1 = color_general_word(word, orientation=(1, 1)).rep_poly
     p2 = color_general_word(word, orientation=(1, -1)).rep_poly
@@ -366,8 +348,6 @@ def torus_rep_poly(strands: int, crossings: int, variant: str) -> GPoly:
     if crossings < 2:
         raise ValueError("need at least 2 crossings")
     q = crossings
-    from .polys import cheb
-
     if variant == "knot":
         if q % 2 == 0:
             raise ValueError("torus knot needs odd crossing count")

@@ -240,3 +240,11 @@ def normalize_zeros(word: ConwayWord) -> ConwayWord:
     if not blocks:
         raise DescriptorError("unknot/degenerate word after zero reduction")
     return ConwayWord(tuple(blocks), word.notation)
+
+
+def word_of(descriptor) -> ConwayWord:
+    """The word a descriptor is colored on: the canonical word of a
+    Fraction, or a ConwayWord with its zero blocks removed."""
+    if isinstance(descriptor, Fraction):
+        return canonical_word(descriptor)
+    return normalize_zeros(descriptor)

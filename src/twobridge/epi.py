@@ -14,7 +14,8 @@ import dataclasses
 import json
 import math
 
-from .conway import ConwayWord, Fraction, canonical_word, normalize_zeros, slope
+from .conway import ConwayWord, Fraction, canonical_word, slope, \
+    transform_word, word_of
 from .coloring import (
     ColoringError,
     color_plan,
@@ -87,14 +88,9 @@ def rep_poly_set(descriptor):
     """The candidate rep-polynomials of a knot or link: {P, P'} for knots,
     both orientation variants and their iu-companions for links.  Returns a
     list of (name, GPoly)."""
-    word = descriptor if isinstance(descriptor, ConwayWord) else canonical_word(descriptor)
-    word = normalize_zeros(word)
-    frac = slope(word)
-    upside = ConwayWord(tuple(
-        (1 if len(word.blocks) % 2 == 1 else -1) * n
-        for n in reversed(word.blocks)
-    ))
-    if frac.is_knot:
+    word = word_of(descriptor)
+    upside = transform_word(word, "upside_down")
+    if slope(word).is_knot:
         return [
             ("P", rep_polynomial(word)),
             ("P'", rep_polynomial(upside)),
@@ -116,8 +112,7 @@ def divisibility_check(k1, k2) -> DivisibilityVerdict:
 
     For knots this decides the existence of an epimorphism G(K1) -> G(K2);
     when k1 is a link it is only the necessary condition."""
-    frac2 = k2 if isinstance(k2, Fraction) else slope(normalize_zeros(k2))
-    p2 = rep_polynomial(frac2)
+    p2 = rep_polynomial(slope(word_of(k2)))
     for name, p1 in rep_poly_set(k1):
         q = exact_divide(p1, p2)
         if q is not None:
@@ -224,12 +219,12 @@ def build_record(frac: Fraction, geometry: bool = True, precision: int = 128):
         "geometry": geometry,
         "precision_bits": precision,
     }
-    P = rep_polynomial(frac)
+    pair = () if frac.is_knot else rep_poly_pair(frac)
+    P = pair[0] if pair else rep_polynomial(frac)
     rec["rep_poly"] = poly_to_json(P)
     rec["rep_poly_text"] = format_poly(P)
-    if not frac.is_knot:
-        p1, p2 = rep_poly_pair(frac)
-        rec["rep_poly_pair"] = [poly_to_json(p1), poly_to_json(p2)]
+    if pair:
+        rec["rep_poly_pair"] = [poly_to_json(p) for p in pair]
     R = _riley.riley_polynomial(frac)
     rec["riley_poly"] = poly_to_json(R)
     proof = _riley.verify_bridge(P, R, frac.is_knot, frac)
@@ -305,13 +300,11 @@ def census_build(max_alpha: int, out=None, geometry: bool = True,
         cached[(rec["alpha"], rec["beta"])] = rec
     records = [cached[(f.alpha, f.beta)] for f in reps]
 
-    # cache polynomial sets once per class; mirror classes share them
+    # polynomial sets once per class; each set's first entry is P itself
     sets = {}
-    targets = {}
     for rec in records:
         f = Fraction(rec["alpha"], rec["beta"])
         sets[(f.alpha, f.beta)] = rep_poly_set(f)
-        targets[(f.alpha, f.beta)] = rep_polynomial(f)
     edges = []
     for rec1 in records:
         f1 = (rec1["alpha"], rec1["beta"])
@@ -319,7 +312,7 @@ def census_build(max_alpha: int, out=None, geometry: bool = True,
             f2 = (rec2["alpha"], rec2["beta"])
             if f1 == f2 or rec2["alpha"] > rec1["alpha"]:
                 continue
-            p2 = targets[f2]
+            p2 = sets[f2][0][1]
             for name, p1 in sets[f1]:
                 if exact_divide(p1, p2) is not None:
                     edges.append({

@@ -24,7 +24,7 @@ import mpmath as mp
 
 from .conway import ConwayWord
 from .polys import GPoly, eval_poly
-from .coloring import BlockPlan, PlatPlan, plan_plat
+from .coloring import BlockPlan, PlatPlan, bottom_caps, plan_plat
 
 __all__ = [
     "GeometryError",
@@ -284,21 +284,19 @@ def _numeric_trace(plan: PlatPlan, r, closure_tol) -> tuple:
             pieces[pid_R] = (vecs[L + 1], dirs[L + 1])
             adjacency.append((zone[z - 1], south, pid_L))
             adjacency.append((south, zone[z + 1], pid_R))
-    # bottom closure: identify the open zone with its wrap-around region and
-    # measure how far the final vectors are from the required +- matches
-    k = plan.k
-    if k % 2 == 1:
-        ident = {zone[2]: 0}
-        resid = max(
-            min(_vec_gap(vecs[2], b), _vec_gap(vecs[2], _neg(b))),
-            min(_vec_gap(vecs[1], vecs[0]), _vec_gap(vecs[1], _neg(vecs[0]))),
-        )
-    else:
-        ident = {zone[1]: 2}
-        resid = max(
-            min(_vec_gap(vecs[0], b), _vec_gap(vecs[0], _neg(b))),
-            min(_vec_gap(vecs[1], vecs[2]), _vec_gap(vecs[1], _neg(vecs[2]))),
-        )
+    # bottom closure: the vectors at the two ends of each cap must agree up
+    # to sign (position 3 against b, position 1 against its partner), and
+    # the zones on either side of the cap through position 1 are one region,
+    # which keeps the older id
+    cap = bottom_caps(plan.k)
+    resid = max(
+        min(_vec_gap(vecs[cap[3]], b), _vec_gap(vecs[cap[3]], _neg(b))),
+        min(_vec_gap(vecs[1], vecs[cap[1]]),
+            _vec_gap(vecs[1], _neg(vecs[cap[1]]))),
+    )
+    lo, hi = sorted((1, cap[1]))
+    outside = (zone[lo], zone[hi + 1])
+    ident = {max(outside): min(outside)}
     if resid > closure_tol:
         raise GeometryError(
             "coloring does not close at this value (residual %.3g): "
@@ -580,11 +578,16 @@ def complex_volume(data: RegionData, reduce: bool = True):
 
 
 def volume_reduce(v):
-    """Reduce the imaginary part mod pi^2 into [0, pi^2)."""
+    """Reduce the imaginary part mod pi^2 into [0, pi^2).
+
+    A reduced value within 2^(-prec/2) pi^2 of pi^2, prec the working
+    precision, is 0 up to rounding and is returned as 0."""
     pi2 = mp.pi ** 2
     im = mp.fmod(mp.im(v), pi2)
     if im < 0:
         im += pi2
+    if pi2 - im < mp.ldexp(pi2, -(mp.mp.prec // 2)):
+        im = mp.mpf(0)
     return mp.mpc(mp.re(v), im)
 
 

@@ -13,7 +13,6 @@ expressed through that family.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import re as _re
 
 import mpmath as mp
@@ -191,7 +190,7 @@ class GPoly:
         return hash((self._re, self._im))
 
     def __repr__(self):
-        return "GPoly(%s)" % self.to_text()
+        return "GPoly(%s)" % format_poly(self)
 
     # -- structural helpers --------------------------------------------
 
@@ -424,15 +423,19 @@ def expand_at_u_squared(R: GPoly) -> GPoly:
 # -- Chebyshev family -----------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
-def _cheb_p(n: int) -> GPoly:
-    if n < 0:
-        return -_cheb_p(-n)
-    if n == 0:
-        return _ZERO
-    if n == 1:
-        return _ONE
-    return U * _cheb_p(n - 1) - _cheb_p(n - 2)
+def p_window(t, n: int):
+    """(p_{n-1}(t), p_n(t), p_{n+1}(t)) for any integer n, iteratively.
+    t is a GPoly or a number."""
+    m = abs(n)
+    x0, x1 = (_ZERO, _ONE) if isinstance(t, GPoly) else (0, 1)  # p_0, p_1
+    for _ in range(m):
+        x0, x1 = x1, t * x1 - x0
+    # x0 = p_m, x1 = p_{m+1}; p_{m-1} = t p_m - p_{m+1}
+    pm_minus = t * x0 - x1
+    if n >= 0:
+        return pm_minus, x0, x1
+    # p_{-m +/- 1} = -p_{m -/+ 1}
+    return -x1, -x0, -pm_minus
 
 
 def cheb(kind: str, n: int) -> GPoly:
@@ -443,13 +446,12 @@ def cheb(kind: str, n: int) -> GPoly:
          "v": v_n = p_{n+1} - p_{n-1}
     Negative n is allowed via p_{-n} = -p_n.
     """
+    if kind not in ("p", "f", "v"):
+        raise ValueError("kind must be one of 'p', 'f', 'v'")
+    before, p, after = p_window(U, n)
     if kind == "p":
-        return _cheb_p(n)
-    if kind == "f":
-        return _cheb_p(n + 1) - _cheb_p(n)
-    if kind == "v":
-        return _cheb_p(n + 1) - _cheb_p(n - 1)
-    raise ValueError("kind must be one of 'p', 'f', 'v'")
+        return p
+    return after - (p if kind == "f" else before)
 
 
 # -- 2x2 polynomial matrices ----------------------------------------------
@@ -511,9 +513,7 @@ def sl2_power(M, n: int, numeric_tol: float = 1e-9):
     if isinstance(M, PolyMatrix2):
         if M.det() != _ONE:
             raise ValueError("det != 1, trace power formula does not apply")
-        t = M.trace()
-        pn = _cheb_p(n).compose(t)
-        pn1 = _cheb_p(n - 1).compose(t)
+        pn1, pn, _ = p_window(M.trace(), n)
         return PolyMatrix2(
             pn * M.a11 - pn1,
             pn * M.a12,
@@ -524,22 +524,8 @@ def sl2_power(M, n: int, numeric_tol: float = 1e-9):
     det = a * d - b * c
     if abs(det - 1) > numeric_tol:
         raise ValueError("det != 1 within tolerance")
-    t = a + d
-    pn_prev, pn = None, None
-    # evaluate p_n, p_{n-1} at the numeric trace by the same recursion
-    def p_at(k):
-        if k < 0:
-            return -p_at(-k)
-        x0, x1 = 0, 1
-        if k == 0:
-            return 0
-        for _ in range(k - 1):
-            x0, x1 = x1, t * x1 - x0
-        return x1
-
-    pn = p_at(n)
-    pn_prev = p_at(n - 1)
-    return ((pn * a - pn_prev, pn * b), (pn * c, pn * d - pn_prev))
+    pn1, pn, _ = p_window(a + d, n)
+    return ((pn * a - pn1, pn * b), (pn * c, pn * d - pn1))
 
 
 # -- text and JSON forms ----------------------------------------------------

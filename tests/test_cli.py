@@ -79,3 +79,21 @@ class TestComplexText:
         assert rc == 0
         value = out.split()[0]
         assert value.startswith("-2.02988321+") and value.endswith("i")
+
+    @pytest.mark.parametrize("root", ["0", "1"])
+    def test_fig8_volume_has_zero_cs_part(self, capsys, root):
+        rc, out, _ = run(capsys, "volume", "2/5", "--root", root)
+        assert rc == 0
+        assert out.split()[0] in ("2.02988321+0i", "-2.02988321+0i")
+
+
+class TestRepPoly:
+    def test_link_fraction_and_word_agree(self, capsys):
+        # 3/8 = [2,1,2]: every link prints both orientation variants
+        rc, by_fraction, _ = run(capsys, "reppoly", "3/8")
+        assert rc == 0
+        rc, by_word, _ = run(capsys, "reppoly", "C[2,1,2]")
+        assert rc == 0
+        assert by_fraction == by_word
+        assert by_fraction.splitlines() == ["u^8 - 2*u^6 + 2*u^4",
+                                            "u^8 + 2*u^6 + 2*u^4"]

@@ -277,6 +277,10 @@ class TestTorusOracles:
     def test_t22_degenerate(self):
         assert torus_rep_poly(2, 2, "link_antiparallel") == P("u^2")
 
+    def test_deep_torus_knot(self):
+        assert torus_rep_poly(2, 601, "knot") == \
+            rep_polynomial(Fraction(601, 1))
+
     def test_engine_agreement(self):
         for q in range(3, 14):
             word = ConwayWord((q,))

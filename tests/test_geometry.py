@@ -192,6 +192,20 @@ class TestTables:
         v = complex_volume(region_coloring(rep))
         assert abs(abs(mp.re(v)) - mp.mpf("2.029883212819")) < 1e-9
 
+    def test_fig8_chern_simons_is_zero(self):
+        # the CS part is 0 mod pi^2: rounding below pi^2 must not wrap
+        roots = find_roots(rep_polynomial(Fraction(5, 2)), precision=256)
+        vols = []
+        for r in roots:
+            if abs(r) < 1e-12:
+                continue
+            rep = arc_vectors_at_root(ConwayWord((2, 2)), r, precision=256)
+            vols.append(complex_volume(region_coloring(rep)))
+        assert len(vols) == 4
+        assert {mp.sign(mp.re(v)) for v in vols} == {-1, 1}
+        for v in vols:
+            assert 0 <= mp.im(v) < mp.mpf(2) ** -100
+
 
 class TestInvariance:
     def test_resampling(self):
@@ -238,6 +252,13 @@ class TestVolumeHelpers:
         v = volume_reduce(mp.mpc(1, -5))
         assert 0 <= mp.im(v) < mp.pi ** 2
         assert mp.re(v) == 1
+
+    def test_reduce_maps_pi2_less_rounding_to_zero(self):
+        with mp.workprec(128):
+            v = volume_reduce(mp.mpc(1, mp.pi ** 2 - mp.mpf(2) ** -100))
+            assert mp.im(v) == 0
+            v = volume_reduce(mp.mpc(1, mp.pi ** 2 - mp.mpf(2) ** -40))
+            assert mp.im(v) > 9
 
     def test_agree_mod_pi2(self):
         a = mp.mpc(2, 1)

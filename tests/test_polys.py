@@ -167,6 +167,12 @@ class TestChebyshev:
             assert cheb("f", n) == cheb("p", n + 1) - cheb("p", n)
             assert cheb("v", n) == cheb("p", n + 1) - cheb("p", n - 1)
 
+    def test_deep_index(self):
+        # p_n is built iteratively: a recursive p_n overflowed the stack
+        p600 = cheb("p", 600)
+        assert p600.degree == 599
+        assert p600.compose(GPoly([2])) == GPoly([600])
+
 
 def _random_unimodular(rng):
     # product of elementary shears has determinant one
@@ -217,6 +223,10 @@ class TestSL2Power:
             m = _random_unimodular(rng)
             for n in range(-12, 13):
                 assert sl2_power(m, n) == m ** n
+
+    def test_deep_power(self):
+        X = self.x_matrix()
+        assert sl2_power(X, 600) == X ** 600
 
     def test_numeric_variant(self):
         m = ((1.0 + 0j, 1.0 + 0j), (0j, 1.0 + 0j))
@@ -273,6 +283,10 @@ class TestTextAndJson:
     def test_json_roundtrip(self, pairs):
         p = GPoly.from_coeffs(pairs)
         assert poly_from_json(poly_to_json(p)) == p
+
+    def test_repr(self):
+        assert repr(P("u^2 - 1")) == "GPoly(u^2 - 1)"
+        assert repr(GPoly.zero()) == "GPoly(0)"
 
     def test_bigint_coefficients_survive(self):
         big = 10 ** 80 + 7
