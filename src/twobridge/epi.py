@@ -6,6 +6,17 @@ the big word's rep-polynomials, which is the computable side of the
 epimorphism partial order on 2-bridge knots.  Divisibility is always tested
 by exact polynomial division; large ORS words are handled by running the
 coloring engine with coefficients reduced modulo the seed polynomial.
+
+An expansion colored mod the seed core in an orientation that does not
+carry the seed's representations can have residues whose coefficients grow
+doubly exponentially along the word.  So each orientation is screened first
+on the seed blocks alone: the closure determinant at their bottom caps is,
+up to sign, the determinant u_{m+1} entering the first connecting 2c-block,
+and it is 0 mod the seed core in the orientation by which ORS extend the
+seed's representations across that block (Ohtsuki-Riley-Sakuma,
+Epimorphisms between 2-bridge link groups, 2008).  The screen only ever
+drops an orientation; a result is accepted only by the full modular
+coloring, and with certify_exact by exact division.
 """
 
 from __future__ import annotations
@@ -133,8 +144,22 @@ def ors_factor_property(spec: OrsSpec, certify_exact: bool = True):
 
     The expansion can be large, so the check runs the coloring engine with
     all coefficients reduced mod the monic part of the seed polynomial; with
-    certify_exact the divisibility is additionally certified by exact
-    division of the fully expanded polynomial when its degree is moderate.
+    certify_exact the divisibility of the fully expanded polynomials by the
+    returned witness is additionally certified by exact division when the
+    expansion's alpha is at most 400.
+
+    Each orientation is first screened on its prefix, the m blocks of the
+    seed, colored mod the candidate's core.  The prefix's closure determinant
+    <y, z> (the companion of color_plan) is, by the bottom-closure rule, +-
+    the determinant u_{m+1} entering the first connecting 2c-block: the
+    seed's closure determinant in the orientation the expansion induces on
+    it.  ORS extend the seed's representations across a connecting block
+    where it vanishes, so the orientation carrying the factor is never
+    dropped; an orientation whose determinant is not 0 mod the core is
+    dropped before its full coloring.  The screen only drops orientations:
+    a result is accepted by the full check alone (the closure determinant 0
+    mod the core and, when u^e divides the candidate with e > 1, mod u^e).
+
     Returns (word, witness_name).  Raises EpiError if division fails.
     """
     word = ors_word(spec)
@@ -144,37 +169,49 @@ def ors_factor_property(spec: OrsSpec, certify_exact: bool = True):
     if twisted != p_a and twisted.is_real():
         candidates.append(("P_A(iu)", twisted))
     frac = slope(word)
+    # each orientation's plan, and the seed blocks its screen colors (a
+    # type 1 expansion is the seed, with no connecting block)
+    k = len(spec.seed.blocks)
+    plans = []
+    for orientation in ((1, 1), (1, -1)):
+        try:
+            plan = plan_plat(word, orientation)
+        except ColoringError:
+            continue
+        prefix = None
+        if spec.type_n > 1:
+            prefix = dataclasses.replace(plan, j_blocks=plan.j_blocks[:k],
+                                         blocks=plan.blocks[:k])
+        plans.append((plan, prefix))
     witness = None
     for name, pa in candidates:
-        core, m = _strip_u(pa)
+        core, e = _strip_u(pa)
         if not core.is_real() or core.leading().re != 1:
             continue
-        found = False
-        for orientation in ((1, 1), (1, -1)):
-            try:
-                plan = plan_plat(word, orientation)
-            except ColoringError:
-                continue
+        for plan, prefix in plans:
+            if prefix is not None:
+                _, _, _, closure = color_plan(prefix, modulus=core)
+                if not closure.is_zero():
+                    continue
             _, _, raw, _ = color_plan(plan, modulus=core)
             if not raw.is_zero():
                 continue
-            if m > 0:
-                _, _, low, _ = color_plan(plan, modulus=GPoly.monomial(m))
+            # raw is <x, b> = f*u, so u itself always divides it
+            if e > 1:
+                _, _, low, _ = color_plan(plan, modulus=GPoly.monomial(e))
                 if not low.is_zero():
                     continue
-            found = True
+            witness = (name, pa)
             break
-        if found:
-            witness = name
+        if witness is not None:
             break
     if witness is None:
         raise EpiError("seed polynomial does not divide the expansion: bug")
+    name, pa = witness
     if certify_exact and frac.alpha <= 400 and not any(
-            divides(pa, p)
-            for _, pa in candidates
-            for _, p in rep_poly_set(word)):
+            divides(pa, p) for _, p in rep_poly_set(word)):
         raise EpiError("exact division certificate failed for %s" % word)
-    return word, witness
+    return word, name
 
 
 # -- census -------------------------------------------------------------------

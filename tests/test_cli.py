@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from twobridge import cli
@@ -97,3 +99,16 @@ class TestRepPoly:
         assert by_fraction == by_word
         assert by_fraction.splitlines() == ["u^8 - 2*u^6 + 2*u^4",
                                             "u^8 + 2*u^6 + 2*u^4"]
+
+
+class TestOrs:
+    def test_fault_spec(self, capsys):
+        # the expansion has alpha 10,225,150 and orientation (1,1), tried
+        # first, is the wrong one
+        rc, out, _ = run(capsys, "--format", "json", "ors", "C[-3,-3]",
+                         "--type", "5", "--c", "2,2,2,-1")
+        assert rc == 0
+        doc = json.loads(out)
+        assert doc["seed_factor_witness"] == "P_A"
+        assert doc["word"] == [-3, -3, 4, -3, -3, 4, -3, -3, 4, -3, -3, -2,
+                               -3, -3]

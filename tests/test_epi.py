@@ -1,4 +1,5 @@
 import concurrent.futures
+import itertools
 import json
 import math
 import os
@@ -24,7 +25,8 @@ from twobridge.epi import (
     ors_word,
     rep_poly_set,
 )
-from twobridge.polys import parse_poly, rem_monic, sign_normalize
+from twobridge.polys import parse_poly, rem_monic, sign_normalize, \
+    substitute_iu
 
 P = parse_poly
 
@@ -180,6 +182,54 @@ class TestOrsFactorProperty:
                 assert got.is_zero()
             else:
                 assert rem_monic(got * got - want * want, core).is_zero()
+
+    # C[-3,-3], type 5: orientation (1,1) is tried first and is the wrong
+    # one; colored in full mod the seed core, its coefficients grow doubly
+    # exponentially (alpha of the expansion is 10,225,150)
+    FAULT_SPEC = OrsSpec(ConwayWord((-3, -3)), 5, (2, 2, 2, -1))
+
+    def test_fault_spec(self):
+        word, witness = ors_factor_property(self.FAULT_SPEC)
+        assert slope(word).alpha == 10225150
+        assert witness == "P_A"
+
+    def test_screened_orientation_is_not_colored_in_full(self, monkeypatch):
+        colored = []
+
+        def recording(plan, modulus=None):
+            colored.append((plan.orientation, plan.k))
+            return color_plan(plan, modulus)
+
+        monkeypatch.setattr(epi, "color_plan", recording)
+        word, witness = ors_factor_property(self.FAULT_SPEC)
+        prefix = len(self.FAULT_SPEC.seed.blocks)
+        wrong = [k for o, k in colored if o == (1, 1)]
+        assert wrong and all(k == prefix for k in wrong)
+        assert ((1, -1), len(word.blocks)) in colored
+
+    def test_one_block_seeds_certified(self):
+        # seeds C[n], 2 <= |n| <= 5 (C[+-1] is the unknot); exact division
+        # certifies the expansions with alpha <= 400
+        certified = 0
+        for n in (-5, -4, -3, -2, 2, 3, 4, 5):
+            for type_n in (2, 3):
+                for c in itertools.product(range(-2, 3), repeat=type_n - 1):
+                    spec = OrsSpec(ConwayWord((n,)), type_n, c)
+                    ors_factor_property(spec, certify_exact=True)
+                    certified += slope(ors_word(spec)).alpha <= 400
+        assert certified > 100
+
+    def test_certificate_checks_the_returned_witness(self, monkeypatch):
+        # the trefoil seed has two candidates, P_A and P_A(iu); a division
+        # by the candidate that was not returned certifies nothing
+        spec = OrsSpec(ConwayWord((3,)), 3, (1, 0))
+        word, witness = ors_factor_property(spec)
+        assert witness == "P_A"
+        other = sign_normalize(substitute_iu(rep_polynomial(slope(spec.seed))))
+        assert other != rep_polynomial(slope(spec.seed))
+        monkeypatch.setattr(epi, "divides", lambda den, num: den == other)
+        with pytest.raises(EpiError):
+            ors_factor_property(spec)
 
 
 class TestCensus:
