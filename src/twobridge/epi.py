@@ -146,7 +146,9 @@ def ors_factor_property(spec: OrsSpec, certify_exact: bool = True):
     all coefficients reduced mod the monic part of the seed polynomial; with
     certify_exact the divisibility of the fully expanded polynomials by the
     returned witness is additionally certified by exact division when the
-    expansion's alpha is at most 400.
+    expansion's alpha is at most 400.  The certificate colors the
+    expansion's slope on its canonical word, which is shorter than the
+    expansion word and gives the same set of polynomials.
 
     Each orientation is first screened on its prefix, the m blocks of the
     seed, colored mod the candidate's core.  The prefix's closure determinant
@@ -209,7 +211,7 @@ def ors_factor_property(spec: OrsSpec, certify_exact: bool = True):
         raise EpiError("seed polynomial does not divide the expansion: bug")
     name, pa = witness
     if certify_exact and frac.alpha <= 400 and not any(
-            divides(pa, p) for _, p in rep_poly_set(word)):
+            divides(pa, p) for _, p in rep_poly_set(frac)):
         raise EpiError("exact division certificate failed for %s" % word)
     return word, name
 

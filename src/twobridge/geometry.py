@@ -8,6 +8,17 @@ a root, region vectors are obtained by propagating a generic base vector
 across strand pieces with the symplectic-quandle action, and the cusp shape
 and complex volume are crossing state sums in the region variables w_j.
 
+The complex volume sums five dilogarithms per crossing; they are the
+layer's main cost.  Li2 is computed by reduction and a series: |z| > 1 is
+inverted, Li2(z) = -pi^2/6 - log(-z)^2/2 - Li2(1/z); Re z > 1/2 is then
+reflected, Li2(z) = pi^2/6 - log z log(1-z) - Li2(1-z); the reduced z has
+|z| <= 1 and Re z <= 1/2, so w = -log(1-z) has |w| <= pi/3 and the
+Bernoulli series Li2 = w - w^2/4 + sum_k B_2k w^(2k+1)/(2k+1)! gains about
+5 bits a term ('t Hooft-Veltman 1979; Zagier, The dilogarithm function,
+2007).  It runs with 24 guard bits over the caller's precision.  Real
+z >= 1, the branch cut and z = 1, is left to mp.polylog, whose cut
+convention is kept.
+
 The region-propagation side convention and the crossing-type label cycle
 are exactly the two picture conventions the source material fixes only in
 figures; both are kept as module constants (REGION_RULE_SIGN and the
@@ -18,6 +29,8 @@ volume tables; the alternative convention remains selectable for tests.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import math
 import random
 
 import mpmath as mp
@@ -178,9 +191,70 @@ def _aberth(q: GPoly, bits: int, max_sweeps: int):
 
 
 def dilog(z, precision: int = 256):
-    """Li2 on the principal branch at the requested working precision."""
+    """Li2 on the principal branch at the requested working precision.
+
+    |z| > 1 is inverted and Re z > 1/2 reflected, so that w = -log(1-z)
+    has |w| <= pi/3; the Bernoulli series in w is then summed with 24 guard
+    bits (_LI2_GUARD_BITS; the formulas are in the module docstring).  Real
+    z >= 1, the branch cut and z = 1, is left to mp.polylog and keeps its
+    convention.
+    """
     with mp.workprec(precision):
-        return mp.polylog(2, mp.mpc(z))
+        return _li2(mp.mpc(z))
+
+
+_LI2_GUARD_BITS = 24
+
+
+@functools.lru_cache(maxsize=8)
+def _li2_coefficients(prec: int):
+    """B_2k/(2k+1)! for k = 1, 2, ... at prec bits, as (mpf, -log2|c|)
+    pairs, up to the first term below 2^-prec at |w| = pi/3."""
+    with mp.workprec(prec):
+        out = []
+        w2 = math.log2((math.pi / 3) ** 2)
+        k = 1
+        while True:
+            c = mp.bernoulli(2 * k) / mp.factorial(2 * k + 1)
+            bits = -float(mp.log(abs(c), 2))
+            out.append((c, bits))
+            if bits - k * w2 > prec:
+                return tuple(out)
+            k += 1
+
+
+def _li2(z):
+    """Li2(z) for an mpc z at the current mpmath precision (see dilog)."""
+    if z.imag == 0 and z.real >= 1:
+        return mp.polylog(2, z)
+    wp = mp.mp.prec + _LI2_GUARD_BITS
+    with mp.workprec(wp):
+        # Li2(z) = const + sign * Li2(z'), |z'| <= 1 and Re z' <= 1/2
+        const, sign = mp.mpc(0), 1
+        if abs(z) > 1:
+            const = -mp.pi ** 2 / 6 - mp.log(-z) ** 2 / 2
+            sign = -1
+            z = 1 / z
+        if z.real > 0.5:
+            const += sign * (mp.pi ** 2 / 6 - mp.log(z) * mp.log(1 - z))
+            sign = -sign
+            z = 1 - z
+        # 1 - z exactly: rounding it would drop the low bits of a small z
+        w = -mp.log(mp.fsub(1, z, exact=True))
+        w2 = w * w
+        coeffs = _li2_coefficients(wp)
+        # terms fall below 2^-wp relative to |w| from index n on
+        aw2 = abs(complex(w2))
+        lw2 = math.log2(aw2) if aw2 else -math.inf
+        n = 0
+        while n < len(coeffs) and coeffs[n][1] - (n + 1) * lw2 <= wp:
+            n += 1
+        acc = mp.mpc(0)
+        for c, _ in reversed(coeffs[:n]):
+            acc = (acc + c) * w2
+        series = w - w2 / 4 + w * acc
+        result = const + sign * series
+    return +result
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +629,7 @@ def _potential_terms(wa, wb, wc, wd, minus_branch: bool):
         W = mp.pi ** 2 / 6 - log_bc * log_dc
         grad = {"b": -log_dc, "d": -log_bc, "c": log_dc + log_bc, "a": 0}
     for sgn, z, nums, dens in zs:
-        W += sgn * mp.polylog(2, z)
+        W += sgn * _li2(z)
         dlog = mp.log(1 - z)
         for v in nums:
             grad[v] = grad[v] - sgn * dlog

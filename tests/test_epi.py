@@ -231,6 +231,31 @@ class TestOrsFactorProperty:
         with pytest.raises(EpiError):
             ors_factor_property(spec)
 
+    def test_certificate_slope_gives_the_expansion_word_set(self):
+        # the certificate colors the expansion's slope on its canonical
+        # word; the expansion word itself gives the same polynomials (seeds
+        # of 1-2 blocks from +-1..+-3, types 2-3, c_i in {+-1, +-2})
+        swept = 0
+        for m in (1, 2):
+            for seed in itertools.product((-3, -2, -1, 1, 2, 3), repeat=m):
+                for type_n in (2, 3):
+                    for c in itertools.product((-2, -1, 1, 2),
+                                               repeat=type_n - 1):
+                        try:
+                            seed_word = ConwayWord(seed)
+                            slope(seed_word)
+                            spec = OrsSpec(seed_word, type_n, c)
+                            word = ors_word(spec)
+                            frac = slope(word)
+                        except ValueError:
+                            continue
+                        if frac.alpha > 400:
+                            continue
+                        assert ({p for _, p in rep_poly_set(word)}
+                                == {p for _, p in rep_poly_set(frac)}), word
+                        swept += 1
+        assert swept == 408
+
 
 class TestCensus:
     def test_classes_alpha7(self):

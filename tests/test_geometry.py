@@ -96,6 +96,77 @@ class TestDilog:
         assert abs(lo - hi) < mp.mpf(2) ** (-58)
 
 
+def _kernel_grid():
+    """Points on and beside every boundary of dilog's reductions: |z| = 1,
+    Re z = 1/2, the neighbourhoods of 0, +-1 and e^(+-i pi/3), both sides
+    of (-inf, 0) and of the cut (1, inf), and |z| up to 10^6."""
+    with mp.workprec(600):
+        eps = mp.mpf(2) ** -40
+        pts = []
+        for k in range(12):
+            u = mp.expjpi(mp.mpf(2 * k + 1) / 12)
+            pts += [u, u * (1 - eps), u * (1 + eps)]
+        for y in (-2, -0.9, -0.5, -1e-3, 0, 1e-3, 0.5, 0.9, 2):
+            for dx in (-eps, 0, eps):
+                pts.append(mp.mpc(mp.mpf(0.5) + dx, y))
+        for c in (0, 1, -1, mp.expjpi(mp.mpf(1) / 3),
+                  mp.expjpi(mp.mpf(-1) / 3)):
+            for r in (eps, mp.mpf(1e-6)):
+                for k in range(8):
+                    pts.append(c + r * mp.expjpi(mp.mpf(k) / 4))
+        for x in (-1e6, -1e3, -10, -2, -1, -0.5, -eps,
+                  1 + eps, 1.5, 2, 10, 1e3, 1e6):
+            for s in (1, -1):
+                pts.append(mp.mpc(x, s * eps))
+        for r in (10, 1e3, 1e6):
+            for k in range(8):
+                pts.append(r * mp.expjpi(mp.mpf(2 * k + 1) / 8))
+    return pts
+
+
+class TestDilogKernel:
+    @pytest.mark.parametrize("prec", [53, 128, 256, 512])
+    def test_matches_polylog_across_reductions(self, prec):
+        # relative error 2^(8-prec); absolute where |Li2| < 1
+        bad = []
+        for z in _kernel_grid():
+            with mp.workprec(prec):
+                z = mp.mpc(z)
+                got = dilog(z, precision=prec)
+                want = mp.polylog(2, z)
+                err = abs(got - want) / max(1, abs(want))
+                if err > mp.ldexp(1, 8 - prec):
+                    bad.append((z, float(mp.log(err, 2))))
+        assert not bad
+
+    @pytest.mark.parametrize("prec", [53, 128, 256, 512])
+    def test_relative_accuracy_near_zero(self, prec):
+        # Li2(z) ~ z: a small z keeps its relative precision
+        for k in (12, 40, 100, 700):
+            for j in range(8):
+                with mp.workprec(prec):
+                    z = mp.expjpi(mp.mpf(2 * j + 1) / 8) * mp.ldexp(1, -k)
+                    got = dilog(z, precision=prec)
+                    want = mp.polylog(2, z)
+                    assert abs(got - want) <= mp.ldexp(abs(want), 8 - prec)
+
+    def test_volume_does_not_call_polylog_off_the_cut(self, monkeypatch):
+        polylog = mp.polylog
+
+        def cut_only(s, z):
+            z = mp.mpc(z)
+            if z.imag != 0 or z.real < 1:
+                raise AssertionError("polylog called at %s" % z)
+            return polylog(s, z)
+
+        monkeypatch.setattr(mp, "polylog", cut_only)
+        roots = find_roots(rep_polynomial(Fraction(5, 2)), precision=192)
+        r = [z for z in roots if mp.im(z) > 0.3 and mp.re(z) > 0][0]
+        rep = arc_vectors_at_root(ConwayWord((2, 2)), r, precision=192)
+        v = complex_volume(region_coloring(rep))
+        assert abs(abs(mp.re(v)) - mp.mpf("2.029883212819")) < 1e-9
+
+
 class TestArcVectors:
     def test_trefoil_closes_at_one(self):
         rep = arc_vectors_at_root(ConwayWord((3,)), 1, precision=128)
