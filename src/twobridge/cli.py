@@ -147,8 +147,8 @@ def cmd_roots(args):
 def _rep_at(args):
     word = _word(args)
     P = rep_polynomial(word)
-    roots = [r for r in geometry.find_roots(P, precision=args.precision)
-             if abs(r) > 1e-12]
+    roots = geometry.find_roots(P, precision=args.precision)
+    roots = roots[P.strip_zero_roots()[1]:]
     r = _pick_root(roots, args.root)
     return word, geometry.arc_vectors_at_root(word, r, precision=args.precision)
 

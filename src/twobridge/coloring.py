@@ -323,10 +323,9 @@ def rep_poly_pair(descriptor) -> tuple:
     word = word_of(descriptor)
     if slope(word).is_knot:
         raise ColoringError("knots have a single rep-polynomial")
-    p1 = color_general_word(word, orientation=(1, 1)).rep_poly
-    p2 = color_general_word(word, orientation=(1, -1)).rep_poly
-    # P1(iu) and P2 agree up to a unit; normalize both to the canonical sign
-    return (sign_normalize(p1), sign_normalize(p2))
+    # P1(iu) and P2 agree up to a unit; rep_poly carries the canonical sign
+    return (color_general_word(word, orientation=(1, 1)).rep_poly,
+            color_general_word(word, orientation=(1, -1)).rep_poly)
 
 
 def ui_sequence(word: ConwayWord, orientation=None) -> tuple:

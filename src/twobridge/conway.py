@@ -77,18 +77,15 @@ class ConwayWord:
     normalize_zeros removes them."""
 
     blocks: tuple
-    notation: str = "C"  # notation the word was written in, for display only
 
     def __post_init__(self):
         object.__setattr__(self, "blocks", tuple(int(n) for n in self.blocks))
-        if self.notation not in ("C", "J"):
-            raise DescriptorError("notation must be 'C' or 'J'")
 
     @staticmethod
     def from_j(blocks) -> "ConwayWord":
         """Interpret blocks as J-notation and store the C-form."""
         c = tuple(n if i % 2 == 0 else -n for i, n in enumerate(blocks))
-        return ConwayWord(c, notation="J")
+        return ConwayWord(c)
 
     @property
     def j_blocks(self) -> tuple:
@@ -203,16 +200,16 @@ def even_expansion(frac: Fraction) -> ConwayWord:
 def transform_word(word: ConwayWord, kind: str) -> ConwayWord:
     """mirror, upside_down, or reverse_orientation_marker.
 
-    upside_down reverses the block order and scales by (-1)^(k+1); the
-    orientation marker only changes the notation tag carried for display
-    (block content is orientation-independent).
+    upside_down reverses the block order and scales by (-1)^(k+1);
+    reverse_orientation_marker returns the word unchanged, since a word's
+    blocks do not depend on the orientation of its components.
     """
     if kind == "mirror":
-        return ConwayWord(tuple(-n for n in word.blocks), word.notation)
+        return ConwayWord(tuple(-n for n in word.blocks))
     if kind == "upside_down":
         k = len(word.blocks)
         s = 1 if k % 2 == 1 else -1
-        return ConwayWord(tuple(s * n for n in reversed(word.blocks)), word.notation)
+        return ConwayWord(tuple(s * n for n in reversed(word.blocks)))
     if kind == "reverse_orientation_marker":
         return word
     raise DescriptorError("unknown transform kind %r" % kind)
@@ -239,7 +236,7 @@ def normalize_zeros(word: ConwayWord) -> ConwayWord:
             break
     if not blocks:
         raise DescriptorError("unknot/degenerate word after zero reduction")
-    return ConwayWord(tuple(blocks), word.notation)
+    return ConwayWord(tuple(blocks))
 
 
 def word_of(descriptor) -> ConwayWord:

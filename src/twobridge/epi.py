@@ -30,19 +30,12 @@ from .conway import ConwayWord, Fraction, canonical_word, slope, \
 from .coloring import (
     ColoringError,
     color_plan,
+    iu_variant,
     plan_plat,
     rep_polynomial,
     rep_poly_pair,
 )
-from .polys import (
-    GPoly,
-    divides,
-    exact_divide,
-    poly_to_json,
-    sign_normalize,
-    substitute_iu,
-    format_poly,
-)
+from .polys import GPoly, divides, exact_divide, poly_to_json, format_poly
 from . import riley as _riley
 
 
@@ -131,13 +124,6 @@ def divisibility_check(k1, k2) -> DivisibilityVerdict:
     return DivisibilityVerdict(False)
 
 
-def _strip_u(p: GPoly):
-    m = 0
-    while not p.coeff(m):
-        m += 1
-    return p.strip_power(m), m
-
-
 def ors_factor_property(spec: OrsSpec, certify_exact: bool = True):
     """Certify that the seed's rep-polynomial divides one of the expansion's
     rep-polynomials (the iu-companion for some link cases).
@@ -167,7 +153,7 @@ def ors_factor_property(spec: OrsSpec, certify_exact: bool = True):
     word = ors_word(spec)
     p_a = rep_polynomial(slope(spec.seed))
     candidates = [("P_A", p_a)]
-    twisted = sign_normalize(substitute_iu(p_a))
+    twisted = iu_variant(p_a)
     if twisted != p_a and twisted.is_real():
         candidates.append(("P_A(iu)", twisted))
     frac = slope(word)
@@ -187,7 +173,7 @@ def ors_factor_property(spec: OrsSpec, certify_exact: bool = True):
         plans.append((plan, prefix))
     witness = None
     for name, pa in candidates:
-        core, e = _strip_u(pa)
+        core, e = pa.strip_zero_roots()
         if not core.is_real() or core.leading().re != 1:
             continue
         for plan, prefix in plans:
@@ -231,22 +217,18 @@ def class_representatives(max_alpha: int):
         for beta in range(1, alpha):
             if math.gcd(alpha, beta) != 1:
                 continue
-            key = min(beta, pow(beta, -1, alpha))
+            key = Fraction(alpha, beta).unoriented_class()
             if key in seen:
                 continue
             seen.add(key)
-            reps.append(Fraction(alpha, key))
+            reps.append(Fraction(*key))
     return reps
-
-
-def _mirror_key(frac: Fraction):
-    m = frac.mirror()
-    return (m.alpha, min(m.beta, pow(m.beta, -1, m.alpha)))
 
 
 def build_record(frac: Fraction, geometry: bool = True, precision: int = 128):
     """One census record: polynomials, bridge certificate, splitting,
-    roots and per-root geometry (knots)."""
+    roots and, for knots, one representation per {r, -r} pair of nonzero
+    roots (geometry.root_pairs): both members give the same one."""
     word = canonical_word(frac)
     rec = {
         "schema": CENSUS_SCHEMA,
@@ -254,7 +236,7 @@ def build_record(frac: Fraction, geometry: bool = True, precision: int = 128):
         "beta": frac.beta,
         "word": list(word.blocks),
         "is_knot": frac.is_knot,
-        "mirror_of": list(_mirror_key(frac)),
+        "mirror_of": list(frac.mirror().unoriented_class()),
         "geometry": geometry,
         "precision_bits": precision,
     }
@@ -282,14 +264,7 @@ def build_record(frac: Fraction, geometry: bool = True, precision: int = 128):
                             for r in roots]
             if frac.is_knot:
                 reps = []
-                seen = set()
-                for r in roots:
-                    if abs(r) < 1e-12:
-                        continue
-                    key = min(nstr(r), nstr(-r))
-                    if key in seen:
-                        continue
-                    seen.add(key)
+                for r in G.root_pairs(roots[P.strip_zero_roots()[1]:]):
                     rep = G.arc_vectors_at_root(word, r, precision=precision)
                     data = G.region_coloring(rep)
                     c = G.cusp_shape(data)

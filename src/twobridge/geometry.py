@@ -3,10 +3,16 @@ and complex volume.
 
 Roots are found by Aberth-Ehrlich simultaneous iteration at a requested
 working precision, with deterministic perturbed-circle starting points and
-Newton polishing.  Arc vectors evaluate the plat propagation numerically at
-a root, region vectors are obtained by propagating a generic base vector
-across strand pieces with the symplectic-quandle action, and the cusp shape
-and complex volume are crossing state sums in the region variables w_j.
+Newton polishing.  The nonzero roots of a knot's rep-polynomial come in
+pairs {r, -r}, since P = +-u R(u^2), and both members of a pair give the
+same representation; root_pairs is the one rule that keeps one root per
+pair.  Arc vectors evaluate the plat propagation numerically at a root,
+region vectors are obtained by propagating a generic base vector across
+strand pieces with the symplectic-quandle action, and the cusp shape and
+complex volume are crossing state sums in the region variables w_j.  The
+volume potential of a crossing is one formula: on the minus branch with
+labels (a, b, c, d) it is the negated potential of the other branch at
+(d, a, b, c), gradient included.
 
 The complex volume sums five dilogarithms per crossing; they are the
 layer's main cost.  Li2 is computed by reduction and a series: |z| > 1 is
@@ -42,6 +48,7 @@ from .coloring import BlockPlan, PlatPlan, bottom_caps, plan_plat
 __all__ = [
     "GeometryError",
     "find_roots",
+    "root_pairs",
     "eval_poly",
     "dilog",
     "arc_vectors_at_root",
@@ -72,17 +79,15 @@ _ABERTH_SEED = 0x2B57A9  # fixed: identical runs give identical root order
 def find_roots(p: GPoly, precision: int = 256, max_sweeps: int = 400):
     """All complex roots of p with multiplicity, Aberth-Ehrlich iteration.
 
-    Zero roots are stripped exactly first.  Residuals are required to meet
+    Zero roots are stripped exactly first and come first, as exact zeros.
+    Residuals are required to meet
     |p(r)| < 2^(-precision/2) * max|coeff| * max(1,|r|)^deg; on failure the
     precision is doubled (twice) before giving up with an error carrying
-    the partial result.  Roots are sorted by (re, im).
+    the partial result.  Nonzero roots are sorted by (re, im).
     """
     if p.is_zero():
         raise GeometryError("zero polynomial has no well-defined root set")
-    mult0 = 0
-    while not p.coeff(mult0):
-        mult0 += 1
-    q = p.strip_power(mult0)
+    q, mult0 = p.strip_zero_roots()
     n = q.degree
     zeros = [mp.mpc(0)] * mult0
     if n == 0:
@@ -100,6 +105,27 @@ def find_roots(p: GPoly, precision: int = 256, max_sweeps: int = 400):
             last_err = e
             attempt_bits *= 2
     raise last_err
+
+
+def root_pairs(roots):
+    """One root per {r, -r} pair, in list order: each root is paired with
+    its nearest negation among those left and the first of the two is kept
+    (on find_roots output, the one first in (re, im) order).  Raises
+    GeometryError when that negation is farther than 2^(-prec/2) max(1,|r|),
+    prec the working precision: the list is not +- symmetric."""
+    pool = list(roots)
+    reps = []
+    while pool:
+        r = pool.pop(0)
+        gaps = [abs(x + r) for x in pool]
+        best = min(range(len(gaps)), key=gaps.__getitem__, default=None)
+        if best is None or \
+                gaps[best] > mp.ldexp(max(1, abs(r)), -(mp.mp.prec // 2)):
+            raise GeometryError("root %s has no negation partner"
+                                % mp.nstr(r, 8))
+        pool.pop(best)
+        reps.append(r)
+    return reps
 
 
 def _horner(cs, x):
@@ -587,47 +613,37 @@ def gluing_residual(data: RegionData):
 
 def _potential(data: RegionData):
     """(W, {region: w dW/dw}) summed over the crossings, at the current
-    mpmath precision."""
+    mpmath precision.  A _MINUS_BRANCH_SIGN crossing labelled (a, b, c, d)
+    adds minus the one crossing formula at (d, a, b, c)."""
     W = mp.mpc(0)
     grad = {reg: mp.mpc(0) for reg in data.w}
     for cr in data.rep.trace.crossings:
         regions = _label_regions(cr)
-        wa, wb, wc, wd = (data.w[r] for r in regions)
-        term, g = _potential_terms(
-            wa, wb, wc, wd, cr.sign == _MINUS_BRANCH_SIGN
-        )
-        W += term
-        for pos, name in enumerate("abcd"):
-            grad[regions[pos]] += g[name]
+        sign = 1
+        if cr.sign == _MINUS_BRANCH_SIGN:
+            regions = regions[3:] + regions[:3]
+            sign = -1
+        term, g = _potential_terms(*(data.w[r] for r in regions))
+        W += sign * term
+        for reg, gval in zip(regions, g):
+            grad[reg] += sign * gval
     return W, grad
 
 
-def _potential_terms(wa, wb, wc, wd, minus_branch: bool):
-    """(W_term, {label: w dW/dw}) for one crossing."""
-    if minus_branch:
-        zs = (
-            (-1, wd / wa, ("d",), ("a",)),
-            (-1, wd / wc, ("d",), ("c",)),
-            (+1, wa / wb, ("a",), ("b",)),
-            (+1, wc / wb, ("c",), ("b",)),
-            (+1, (wb * wd) / (wa * wc), ("b", "d"), ("a", "c")),
-        )
-        log_ab = mp.log(wa / wb)
-        log_cb = mp.log(wc / wb)
-        W = -mp.pi ** 2 / 6 + log_ab * log_cb
-        grad = {"a": log_cb, "c": log_ab, "b": -log_ab - log_cb, "d": 0}
-    else:
-        zs = (
-            (+1, wa / wb, ("a",), ("b",)),
-            (+1, wa / wd, ("a",), ("d",)),
-            (-1, wb / wc, ("b",), ("c",)),
-            (-1, wd / wc, ("d",), ("c",)),
-            (-1, (wa * wc) / (wb * wd), ("a", "c"), ("b", "d")),
-        )
-        log_bc = mp.log(wb / wc)
-        log_dc = mp.log(wd / wc)
-        W = mp.pi ** 2 / 6 - log_bc * log_dc
-        grad = {"b": -log_dc, "d": -log_bc, "c": log_dc + log_bc, "a": 0}
+def _potential_terms(wa, wb, wc, wd):
+    """(W_term, (w dW/dw at a, b, c, d)) for one crossing, labels as for a
+    crossing of sign -_MINUS_BRANCH_SIGN."""
+    zs = (
+        (+1, wa / wb, (0,), (1,)),
+        (+1, wa / wd, (0,), (3,)),
+        (-1, wb / wc, (1,), (2,)),
+        (-1, wd / wc, (3,), (2,)),
+        (-1, (wa * wc) / (wb * wd), (0, 2), (1, 3)),
+    )
+    log_bc = mp.log(wb / wc)
+    log_dc = mp.log(wd / wc)
+    W = mp.pi ** 2 / 6 - log_bc * log_dc
+    grad = [0, -log_dc, log_dc + log_bc, -log_bc]
     for sgn, z, nums, dens in zs:
         W += sgn * _li2(z)
         dlog = mp.log(1 - z)

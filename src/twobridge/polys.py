@@ -209,6 +209,16 @@ class GPoly:
             return self
         return GPoly(self._re[k:], self._im[k:])
 
+    def strip_zero_roots(self) -> tuple:
+        """(q, m) with self = u^m q and q(0) != 0: m is the exact number of
+        zero roots.  Raises on the zero polynomial, which has no such m."""
+        if self.is_zero():
+            raise ValueError("the zero polynomial has no finite zero-root count")
+        m = 0
+        while not (self._re[m] or self._im[m]):
+            m += 1
+        return GPoly(self._re[m:], self._im[m:]), m
+
     def substitute_neg(self) -> "GPoly":
         """p(-u): negate odd-degree coefficients."""
         re = [(-c if k & 1 else c) for k, c in enumerate(self._re)]

@@ -129,7 +129,7 @@ def split_polynomial(P: GPoly, is_knot: bool = True, precision: int = 256,
     """
     if not is_knot:
         raise RileyError("splitting applies to knots only")
-    from .geometry import find_roots  # local import: geometry pulls no riley
+    from .geometry import find_roots, root_pairs  # geometry pulls no riley
 
     Q = P.strip_power(1)
     if Q.is_zero() or Q.degree % 2 != 0:
@@ -140,8 +140,8 @@ def split_polynomial(P: GPoly, is_knot: bool = True, precision: int = 256,
     if k == 0:
         raise RileyError("constant P/u cannot split with ghat != g")
     roots = find_roots(Q, precision=precision)
-    reps = _pair_roots(roots)
     with mp.workprec(precision):
+        reps = root_pairs(roots)
         reps_f = [complex(r) for r in reps]
         # gray-code sweep of sum(+-r): cheap near-integer screen first
         order = []
@@ -181,18 +181,6 @@ def split_polynomial(P: GPoly, is_knot: bool = True, precision: int = 256,
 
 def _lex_key(g: GPoly):
     return tuple((c.re, c.im) for c in reversed(g.coeffs()))
-
-
-def _pair_roots(roots):
-    """Group roots into {r, -r} pairs, returning one representative each."""
-    pool = list(roots)
-    reps = []
-    while pool:
-        r = pool.pop(0)
-        best = min(range(len(pool)), key=lambda i: abs(pool[i] + r))
-        pool.pop(best)
-        reps.append(r)
-    return reps
 
 
 def _integer_poly_from_roots(roots):

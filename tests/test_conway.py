@@ -43,6 +43,10 @@ class TestParse:
         assert w.blocks == (2, -2)
         assert w.j_blocks == (2, 2)
 
+    def test_j_and_c_forms_are_one_word(self):
+        j, c = parse_descriptor("J(2,2)"), parse_descriptor("C[2,-2]")
+        assert j == c and hash(j) == hash(c)
+
     def test_fraction_text(self):
         assert parse_descriptor("3/7") == Fraction(7, 3)
         assert parse_descriptor("-4/7") == Fraction(7, 3)

@@ -340,6 +340,21 @@ class TestCensus:
         vol = rec["representations"][0]["complex_volume"]
         assert abs(abs(float(vol["re"])) - 2.029883212819) < 1e-6
 
+    def test_one_representation_per_root_pair(self):
+        # r and -r give the same representation: a knot has one per pair
+        # of its alpha - 1 nonzero roots
+        records, _ = census_build(11, geometry=True)
+        for rec in records:
+            if not rec["is_knot"]:
+                continue
+            reps = rec["representations"]
+            assert len(reps) == (rec["alpha"] - 1) // 2, rec["beta"]
+            roots = [complex(float(x["root"]["re"]), float(x["root"]["im"]))
+                     for x in reps]
+            for i, r in enumerate(roots):
+                for s in roots[i + 1:]:
+                    assert abs(r + s) > 1e-6, (rec["beta"], rec["alpha"])
+
     def test_partial_order_sanity(self):
         records, edges = census_build(13, geometry=False)
         knots = {(r["alpha"], r["beta"]) for r in records if r["is_knot"]}

@@ -18,6 +18,7 @@ from twobridge.geometry import (
     volume_reduce,
     volumes_agree,
 )
+from twobridge.geometry import root_pairs
 from twobridge.polys import parse_poly
 
 P = parse_poly
@@ -336,3 +337,20 @@ class TestVolumeHelpers:
         b = mp.mpc(2, 1 + mp.pi ** 2)
         assert volumes_agree(a, b)
         assert not volumes_agree(a, mp.mpc(2.1, 1))
+
+
+class TestRootPairs:
+    def test_keeps_first_member_in_order(self):
+        roots = find_roots(rep_polynomial(Fraction(7, 3)), precision=128)[1:]
+        with mp.workprec(128):
+            kept = root_pairs(roots)
+        assert len(kept) == 3
+        assert kept == [r for r in roots if r in kept]
+        assert all(abs(r + s) > 1e-6 for r in kept for s in kept)
+
+    def test_not_symmetric_raises(self):
+        with mp.workprec(128):
+            with pytest.raises(GeometryError):
+                root_pairs([mp.mpc(1), mp.mpc(-1), mp.mpc(2), mp.mpc(-2.5)])
+            with pytest.raises(GeometryError):
+                root_pairs([mp.mpc(1), mp.mpc(-1), mp.mpc(3)])

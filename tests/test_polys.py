@@ -292,3 +292,13 @@ class TestTextAndJson:
         big = 10 ** 80 + 7
         p = GPoly([big, -big])
         assert poly_from_json(poly_to_json(p)).coeff(0).re == big
+
+
+class TestStripZeroRoots:
+    def test_counts_zero_roots(self):
+        assert P("u^5+2*u^3").strip_zero_roots() == (P("u^2+2"), 3)
+        assert P("u+1").strip_zero_roots() == (P("u+1"), 0)
+
+    def test_zero_polynomial_raises(self):
+        with pytest.raises(ValueError):
+            GPoly.zero().strip_zero_roots()
