@@ -81,6 +81,15 @@ def _pick_root(roots, spec):
     return min(roots, key=lambda r: abs(r - z))
 
 
+def _int_list(flag, text):
+    """A comma-separated integer option such as --c 1,-1."""
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise DescriptorError("cannot parse %s %r: want comma-separated "
+                              "integers" % (flag, text))
+
+
 def cmd_slope(args):
     frac = slope(_word(args))
     doc = {"alpha": frac.alpha, "beta": frac.beta,
@@ -200,9 +209,8 @@ def cmd_ors(args):
     if isinstance(seed, Fraction):
         # a word is kept as written: ors_word copies its blocks verbatim
         seed = canonical_word(seed)
-    c = tuple(int(x) for x in args.c.split(",")) if args.c else ()
-    signs = (tuple(int(x) for x in args.signs.split(","))
-             if args.signs else None)
+    c = _int_list("--c", args.c) if args.c else ()
+    signs = _int_list("--signs", args.signs) if args.signs else None
     spec = epi.OrsSpec(seed, args.type, c, signs)
     word, witness = epi.ors_factor_property(spec, certify_exact=False)
     doc = {"word": list(word.blocks), "seed_factor_witness": witness}

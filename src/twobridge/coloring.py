@@ -102,20 +102,26 @@ def bottom_caps(k: int) -> tuple:
     return (1, 0, 3, 2) if k % 2 == 1 else (3, 2, 1, 0)
 
 
-def _closure_consistent(j_blocks, d) -> bool:
+_CLASSES = ((1, 1), (1, -1))   # (d2, d3) with d2 fixed to +1
+
+
+def _consistent_plans(j_blocks, candidates) -> dict:
+    """{(d2, d3): per-block (parallel, delta0)} for the candidates whose
+    traced directions close up (each bottom cap joins opposite directions),
+    each traced once, in candidate order."""
     cap = bottom_caps(len(j_blocks))
-    return all(d[i] == -d[cap[i]] for i in range(4))
+    out = {}
+    for o in candidates:
+        d, per_block = _trace_directions(j_blocks, *o)
+        if all(d[i] == -d[cap[i]] for i in range(4)):
+            out[o] = per_block
+    return out
 
 
 def consistent_orientations(j_blocks) -> list:
     """(d2, d3) classes, with d2 fixed to +1, consistent with the closure.
     Knots admit exactly one, links both."""
-    out = []
-    for d3 in (1, -1):
-        d, _ = _trace_directions(j_blocks, 1, d3)
-        if _closure_consistent(j_blocks, d):
-            out.append((1, d3))
-    return out
+    return list(_consistent_plans(j_blocks, _CLASSES))
 
 
 def plan_plat(word: ConwayWord, orientation=None) -> PlatPlan:
@@ -123,21 +129,18 @@ def plan_plat(word: ConwayWord, orientation=None) -> PlatPlan:
     of top-strand directions (+1 downward), or None for the default: the
     unique consistent class for knots, both strands downward for links."""
     j = word.j_blocks
-    classes = consistent_orientations(j)
-    if not classes:
+    plans = _consistent_plans(j, _CLASSES)
+    if not plans:
         raise ColoringError("no consistent orientation: degenerate word %s" % word)
-    if orientation is None:
-        orientation = (1, 1) if (1, 1) in classes else classes[0]
-    else:
-        orientation = tuple(orientation)
-        d, _ = _trace_directions(j, *orientation)
-        if not _closure_consistent(j, d):
-            raise ColoringError(
-                "orientation %r inconsistent with closure of %s"
-                % (orientation, word)
-            )
-    d2, d3 = orientation
-    _, per_block = _trace_directions(j, d2, d3)
+    orientation = next(iter(plans)) if orientation is None else tuple(orientation)
+    if orientation not in _CLASSES:
+        plans.update(_consistent_plans(j, (orientation,)))
+    if orientation not in plans:
+        raise ColoringError(
+            "orientation %r inconsistent with closure of %s"
+            % (orientation, word)
+        )
+    per_block = plans[orientation]
     blocks = []
     for i, n in enumerate(j, start=1):
         parallel, delta0 = per_block[i - 1]
@@ -150,7 +153,8 @@ def plan_plat(word: ConwayWord, orientation=None) -> PlatPlan:
                 delta0=delta0,
             )
         )
-    return PlatPlan(j_blocks=tuple(j), orientation=(d2, d3), blocks=tuple(blocks))
+    return PlatPlan(j_blocks=tuple(j), orientation=orientation,
+                    blocks=tuple(blocks))
 
 
 # -- block transfer matrices ------------------------------------------------
@@ -210,16 +214,11 @@ def _apply_pair(vecs, left: int, T: PolyMatrix2, modulus=None):
 
 @dataclasses.dataclass(frozen=True)
 class ColoringResult:
-    word: ConwayWord
-    orientation: tuple
-    ui_sequence: tuple       # GPoly per block, u_1 = u
+    """The rep-polynomial and final vectors of one coloring; ui_sequence
+    gives the block determinants and conway.slope the fraction."""
+
     rep_poly: GPoly          # sign-normalized, positive leading coefficient
     final_vectors: tuple     # ((f,g) of a_{k,f}, (f,g) of b_{k,f})
-    is_knot: bool
-
-    @property
-    def alpha(self) -> int:
-        return self.rep_poly.degree
 
 
 def color_plan(plan: PlatPlan, modulus=None):
@@ -262,20 +261,14 @@ def color_plan(plan: PlatPlan, modulus=None):
 
 def _color(word: ConwayWord, plan: PlatPlan) -> ColoringResult:
     """Color the plan and check that both closure determinants agree."""
-    ui, vecs, raw, companion = color_plan(plan)
+    _, vecs, raw, companion = color_plan(plan)
     if companion != raw and companion != -raw:
         raise ColoringError(
             "closure determinants disagree (%s): engine convention bug" % word
         )
     L = plan.blocks[-1].left
-    return ColoringResult(
-        word=word,
-        orientation=plan.orientation,
-        ui_sequence=tuple(ui),
-        rep_poly=sign_normalize(raw),
-        final_vectors=(vecs[L], vecs[L + 1]),
-        is_knot=slope(word).is_knot,
-    )
+    return ColoringResult(rep_poly=sign_normalize(raw),
+                          final_vectors=(vecs[L], vecs[L + 1]))
 
 
 def color_general_word(word: ConwayWord, orientation=None) -> ColoringResult:

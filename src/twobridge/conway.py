@@ -163,10 +163,8 @@ def canonical_word(frac: Fraction) -> ConwayWord:
         q, r = divmod(num, den)
         blocks.append(q)
         num, den = den, r
-    # gcd = 1 guarantees the loop ends with den 0, num 1|... and q >= 1 entries
-    if blocks and blocks[-1] == 1 and len(blocks) > 1:
-        blocks.pop()
-        blocks[-1] += 1
+    # the last division is m/1 with m > 1 (alpha or a remainder), so the
+    # last entry is already >= 2
     return ConwayWord(tuple(blocks))
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 
 from .conway import ConwayWord, Fraction, canonical_word, slope, \
     transform_word, word_of
@@ -289,6 +290,8 @@ def census_build(max_alpha: int, out=None, geometry: bool = True,
     `jobs` worker processes when jobs > 1."""
     if max_alpha < 3:
         raise EpiError("max_alpha must be >= 3")
+    if out is not None and not os.path.isdir(os.path.dirname(out) or "."):
+        raise EpiError("cannot write %s: no such directory" % out)
     reps = class_representatives(max_alpha)
     cached = {}
     if out is not None:

@@ -74,16 +74,20 @@ class GeometryError(ValueError):
 
 
 _ABERTH_SEED = 0x2B57A9  # fixed: identical runs give identical root order
+_ABERTH_MAX_SWEEPS = 400
 
 
-def find_roots(p: GPoly, precision: int = 256, max_sweeps: int = 400):
+def find_roots(p: GPoly, precision: int = 256):
     """All complex roots of p with multiplicity, Aberth-Ehrlich iteration.
 
     Zero roots are stripped exactly first and come first, as exact zeros.
-    Residuals are required to meet
-    |p(r)| < 2^(-precision/2) * max|coeff| * max(1,|r|)^deg; on failure the
-    precision is doubled (twice) before giving up with an error carrying
-    the partial result.  Nonzero roots are sorted by (re, im).
+    With q the monic part left, of degree n, and bits the working
+    precision, every root r must meet both
+    |q(r)| <= 2^(-bits/2) * max|coeff| * max(1,|r|)^n and
+    |q(r)| <= 2^(-bits/2) * sum_k |c_k| |r|^k,
+    the second a backward-error bound that holds at any coefficient scale.
+    On failure the precision is doubled (twice) before a GeometryError.
+    Nonzero roots are sorted by (re, im).
     """
     if p.is_zero():
         raise GeometryError("zero polynomial has no well-defined root set")
@@ -96,7 +100,7 @@ def find_roots(p: GPoly, precision: int = 256, max_sweeps: int = 400):
     last_err = None
     for _ in range(3):
         try:
-            roots = _aberth(q, attempt_bits, max_sweeps)
+            roots = _aberth(q, attempt_bits)
             with mp.workprec(precision):
                 roots = [mp.mpc(r) for r in roots]
                 roots.sort(key=lambda z: (z.real, z.imag))
@@ -136,10 +140,10 @@ def _horner(cs, x):
     return acc
 
 
-def _aberth_sweeps(coeffs, dcoeffs, z, tol, max_sweeps, one):
+def _aberth_sweeps(coeffs, dcoeffs, z, tol):
     """Aberth-Ehrlich synchronous sweeps over a generic complex type."""
     n = len(z)
-    for _ in range(max_sweeps):
+    for _ in range(_ABERTH_MAX_SWEEPS):
         moved = 0.0
         for j in range(n):
             pj = _horner(coeffs, z[j])
@@ -149,10 +153,7 @@ def _aberth_sweeps(coeffs, dcoeffs, z, tol, max_sweeps, one):
                 moved = 1.0
                 continue
             newton = pj / dj
-            s = 0 * one
-            for i in range(n):
-                if i != j:
-                    s += 1 / (z[j] - z[i])
+            s = sum(1 / (z[j] - z[i]) for i in range(n) if i != j)
             denom = 1 - newton * s
             step = newton if denom == 0 else newton / denom
             z[j] = z[j] - step
@@ -162,7 +163,7 @@ def _aberth_sweeps(coeffs, dcoeffs, z, tol, max_sweeps, one):
     return z
 
 
-def _aberth(q: GPoly, bits: int, max_sweeps: int):
+def _aberth(q: GPoly, bits: int):
     n = q.degree
     rng = random.Random(_ABERTH_SEED)
     angles = [2 * (j + 0.25 + 0.5 * rng.random()) / n for j in range(n)]
@@ -179,7 +180,7 @@ def _aberth(q: GPoly, bits: int, max_sweeps: int):
             radius = 1 + max(abs(c) for c in coeffs_f[:-1])
             dcoeffs_f = [k * coeffs_f[k] for k in range(1, n + 1)]
             z = [radius * cmath.exp(1j * cmath.pi * a) for a in angles]
-            z = _aberth_sweeps(coeffs_f, dcoeffs_f, z, 5e-14, max_sweeps, 1 + 0j)
+            z = _aberth_sweeps(coeffs_f, dcoeffs_f, z, 5e-14)
             if all(cmath.isfinite(x) for x in z):
                 z0 = z
     except OverflowError:
@@ -192,7 +193,7 @@ def _aberth(q: GPoly, bits: int, max_sweeps: int):
         if z0 is None:
             radius = 1 + max(abs(c) for c in coeffs[:-1])
             z = [radius * mp.expjpi(a) for a in angles]
-            z = _aberth_sweeps(coeffs, dcoeffs, z, 1e-14, max_sweeps, mp.mpc(1))
+            z = _aberth_sweeps(coeffs, dcoeffs, z, 1e-14)
         else:
             z = [mp.mpc(x) for x in z0]
 
@@ -204,12 +205,15 @@ def _aberth(q: GPoly, bits: int, max_sweeps: int):
                 if dj == 0:
                     break
                 z[j] = z[j] - _horner(coeffs, z[j]) / dj
-        # residual gate
-        norm = max(abs(c) for c in coeffs)
-        bound = mp.mpf(2) ** (-bits // 2) * norm
-        for j in range(n):
-            scale = max(mp.mpf(1), abs(z[j])) ** n
-            if abs(_horner(coeffs, z[j])) > bound * scale:
+        # residual gate (see find_roots)
+        eps = mp.mpf(2) ** (-bits // 2)
+        bound = eps * max(abs(c) for c in coeffs)
+        abs_coeffs = [abs(c) for c in coeffs]
+        for r in z:
+            m = abs(r)
+            limit = min(bound * max(mp.mpf(1), m) ** n,
+                        eps * _horner(abs_coeffs, m))
+            if abs(_horner(coeffs, r)) > limit:
                 raise GeometryError(
                     "root residual bound missed at %d bits" % bits
                 )
@@ -290,9 +294,8 @@ def _li2(z):
 
 @dataclasses.dataclass
 class _Crossing:
-    regions: tuple      # region ids (N, E, S, W), post-identification
+    labels: tuple       # region ids (a, b, c, d), post-identification
     sign: int           # writhe sign from traced orientations
-    dirs: tuple         # (d_left, d_right) strand directions at the crossing
 
 
 @dataclasses.dataclass
@@ -324,9 +327,7 @@ class ParabolicRep:
 class RegionData:
     rep: ParabolicRep
     region_vectors: dict    # region id -> (complex, complex)
-    p: tuple                # the generic vector
     w: dict                 # region id -> complex
-    rule_sign: int
     consistency_residual: float
 
 
@@ -348,9 +349,26 @@ def _cross(vecs, bp: BlockPlan, s: int):
         vecs[L], vecs[L + 1] = (-du * xL[0] - xR[0], -du * xL[1] - xR[1]), xL
 
 
-def _numeric_trace(plan: PlatPlan, r, closure_tol) -> tuple:
+# The four regions around a crossing are labelled (a, b, c, d) in the frame
+# where both strands point upward: first rotate the recorded compass order
+# (N, E, S, W) by the strand-direction pattern, then read the cycle fixed
+# per crossing sign.  Both tables of published cusp shapes and volumes pin
+# these two cycles; positive crossings take the "-1"/first branch.
+_ROTATE = {
+    (1, 1): (2, 3, 0, 1),     # both downward: turn the picture around
+    (-1, -1): (0, 1, 2, 3),   # both upward: already canonical
+    (1, -1): (1, 2, 3, 0),    # left down, right up: quarter turn
+    (-1, 1): (3, 0, 1, 2),    # left up, right down: opposite quarter turn
+}
+_LABELS = {
+    1: (1, 2, 3, 0),
+    -1: (0, 1, 2, 3),
+}
+
+
+def _numeric_trace(plan: PlatPlan, r, closure_tol) -> _Trace:
     """Propagate numeric vectors crossing by crossing, recording pieces,
-    region quadruples and the plat closure residual."""
+    labelled region quadruples and the plat closure residual."""
     a = (mp.mpc(1), mp.mpc(0))
     b = (mp.mpc(0), mp.mpc(r))
     vecs = [a, a, b, b]
@@ -372,10 +390,11 @@ def _numeric_trace(plan: PlatPlan, r, closure_tol) -> tuple:
             north = zone[z]
             south = next_region
             next_region += 1
-            crossings.append(
-                _Crossing(regions=(north, zone[z + 1], south, zone[z - 1]),
-                          sign=sign, dirs=(dirs[L], dirs[L + 1]))
-            )
+            compass = (north, zone[z + 1], south, zone[z - 1])
+            rot = _ROTATE[(dirs[L], dirs[L + 1])]
+            crossings.append(_Crossing(
+                labels=tuple(compass[rot[c]] for c in _LABELS[sign]),
+                sign=sign))
             zone[z] = south
             dirs[L], dirs[L + 1] = dirs[L + 1], dirs[L]
             pid_L, pid_R = next_piece, next_piece + 1
@@ -407,9 +426,9 @@ def _numeric_trace(plan: PlatPlan, r, closure_tol) -> tuple:
         return ident.get(reg, reg)
 
     for cr in crossings:
-        cr.regions = tuple(remap(x) for x in cr.regions)
+        cr.labels = tuple(remap(x) for x in cr.labels)
     adjacency = [(remap(w), remap(e), pid) for (w, e, pid) in adjacency]
-    used = sorted({x for cr in crossings for x in cr.regions}
+    used = sorted({x for cr in crossings for x in cr.labels}
                   | {w for w, _, _ in adjacency}
                   | {e for _, e, _ in adjacency})
     return _Trace(
@@ -418,7 +437,7 @@ def _numeric_trace(plan: PlatPlan, r, closure_tol) -> tuple:
         pieces=pieces,
         n_regions=len(used),
         closure_residual=float(resid),
-    ), vecs
+    )
 
 
 def _neg(v):
@@ -443,7 +462,7 @@ def arc_vectors_at_root(word: ConwayWord, r, precision: int = 256,
     with mp.workprec(precision):
         rr = mp.mpc(r)
         scale = max(1, abs(rr)) ** max(1, len(word.blocks))
-        trace, _ = _numeric_trace(plan, rr, closure_tol=1e-6 * scale)
+        trace = _numeric_trace(plan, rr, closure_tol=1e-6 * scale)
         count = sum(bp.count for bp in plan.blocks)
         if trace.n_regions != count + 2:
             raise GeometryError(
@@ -470,6 +489,7 @@ def arc_vectors_at_root(word: ConwayWord, r, precision: int = 256,
 REGION_RULE_SIGN = 1
 
 _GENERIC_SEED = 0x9D2C5
+_REGION_RETRIES = 12
 
 
 def _quandle_step(beta, x, power):
@@ -480,7 +500,7 @@ def _quandle_step(beta, x, power):
 
 
 def region_coloring(rep: ParabolicRep, rule_sign: int = None,
-                    max_retries: int = 12, seed: int = None) -> RegionData:
+                    seed: int = None) -> RegionData:
     """Propagate a generic base vector over the region adjacency graph.
 
     Global consistency (every adjacency equation satisfied within tolerance)
@@ -493,19 +513,16 @@ def region_coloring(rep: ParabolicRep, rule_sign: int = None,
     rng = random.Random(_GENERIC_SEED if seed is None else seed)
     with mp.workprec(rep.precision):
         tol = mp.mpf(10) * mp.mpf(2) ** (-rep.precision // 2)
-        last_gap = None
-        for _ in range(max_retries):
-            base = _rand_vec(rng)
-            vec = {0: base}
+        edges = []
+        graph = {}
+        for west, east, pid in trace.adjacency:
+            x, d = trace.pieces[pid]
+            edges.append((west, east, x, d))
+            graph.setdefault(west, []).append((east, x, rule * d))
+            graph.setdefault(east, []).append((west, x, -rule * d))
+        for _ in range(_REGION_RETRIES):
+            vec = {0: _rand_vec(rng)}
             queue = [0]
-            edges = []
-            for west, east, pid in trace.adjacency:
-                x, d = trace.pieces[pid]
-                edges.append((west, east, x, d))
-            graph = {}
-            for west, east, x, d in edges:
-                graph.setdefault(west, []).append((east, x, rule * d))
-                graph.setdefault(east, []).append((west, x, -rule * d))
             while queue:
                 cur = queue.pop()
                 for nxt, x, pw in graph.get(cur, ()):  # propagate across arc
@@ -517,7 +534,6 @@ def region_coloring(rep: ParabolicRep, rule_sign: int = None,
             for west, east, x, d in edges:
                 want = _quandle_step(vec[west], x, rule * d)
                 gap = max(gap, _vec_gap(vec[east], want))
-            last_gap = gap
             if gap > tol * _scale_of(vec):
                 raise GeometryError(
                     "region propagation inconsistent (residual %.3g): "
@@ -526,16 +542,11 @@ def region_coloring(rep: ParabolicRep, rule_sign: int = None,
             p = _rand_vec(rng)
             w = {reg: _det(p, v) for reg, v in vec.items()}
             if _generic_enough(trace, w):
-                return RegionData(
-                    rep=rep,
-                    region_vectors=vec,
-                    p=p,
-                    w=w,
-                    rule_sign=rule,
-                    consistency_residual=float(gap),
-                )
+                return RegionData(rep=rep, region_vectors=vec, w=w,
+                                  consistency_residual=float(gap))
         raise GeometryError(
-            "could not find a generic vector after %d retries" % max_retries
+            "could not find a generic vector after %d retries"
+            % _REGION_RETRIES
         )
 
 
@@ -553,7 +564,7 @@ def _scale_of(vec):
 def _generic_enough(trace, w) -> bool:
     floor = mp.mpf(10) ** (-8)
     for cr in trace.crossings:
-        wa, wb, wc, wd = (w[r] for r in _label_regions(cr))
+        wa, wb, wc, wd = (w[r] for r in cr.labels)
         for val in (wa, wb, wc, wd, wa - wd, wc - wb):
             if abs(val) < floor:
                 return False
@@ -564,32 +575,8 @@ def _generic_enough(trace, w) -> bool:
 # cusp shape and complex volume state sums
 # ---------------------------------------------------------------------------
 
-# The four regions around a crossing are labelled (a, b, c, d) in the frame
-# where both strands point upward: first rotate the recorded compass order
-# (N, E, S, W) by the strand-direction pattern, then read the cycle fixed
-# per crossing sign.  Both tables of published cusp shapes and volumes pin
-# these two cycles; positive crossings take the "-1"/first branch.
-_ROTATE = {
-    (1, 1): (2, 3, 0, 1),     # both downward: turn the picture around
-    (-1, -1): (0, 1, 2, 3),   # both upward: already canonical
-    (1, -1): (1, 2, 3, 0),    # left down, right up: quarter turn
-    (-1, 1): (3, 0, 1, 2),    # left up, right down: opposite quarter turn
-}
-_LABELS = {
-    1: (1, 2, 3, 0),
-    -1: (0, 1, 2, 3),
-}
+# crossings of this sign take the minus branch of the state sums
 _MINUS_BRANCH_SIGN = 1
-
-
-def _label_regions(cr: _Crossing):
-    rot = _ROTATE[cr.dirs]
-    cyc = _LABELS[cr.sign]
-    return tuple(cr.regions[rot[cyc[i]]] for i in range(4))
-
-
-def _labelled(cr: _Crossing, w):
-    return tuple(w[r] for r in _label_regions(cr))
 
 
 def cusp_shape(data: RegionData):
@@ -597,7 +584,7 @@ def cusp_shape(data: RegionData):
     with mp.workprec(data.rep.precision):
         total = mp.mpc(0)
         for cr in data.rep.trace.crossings:
-            wa, wb, wc, wd = _labelled(cr, data.w)
+            wa, wb, wc, wd = (data.w[r] for r in cr.labels)
             term = (wa * wc - wb * wd) / ((wa - wd) * (wc - wb))
             total += term + (-1 if cr.sign == _MINUS_BRANCH_SIGN else 1)
         return total
@@ -618,7 +605,7 @@ def _potential(data: RegionData):
     W = mp.mpc(0)
     grad = {reg: mp.mpc(0) for reg in data.w}
     for cr in data.rep.trace.crossings:
-        regions = _label_regions(cr)
+        regions = cr.labels
         sign = 1
         if cr.sign == _MINUS_BRANCH_SIGN:
             regions = regions[3:] + regions[:3]

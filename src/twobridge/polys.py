@@ -379,22 +379,18 @@ def substitute_iu(p: GPoly) -> GPoly:
 
 
 def unit_normalize(p: GPoly) -> tuple:
-    """Scale by a unit of Z[i] so the leading coefficient has re > 0,
-    or re == 0 and im > 0.  Returns (normalized, unit_index) with
-    normalized = p * i^unit_index.
+    """Scale by the unit of Z[i] that puts the leading coefficient in the
+    quadrant re > 0, im >= 0; every nonzero Gaussian integer has exactly
+    one unit multiple there, so p and u*p normalize alike for every unit u.
+    Returns (normalized, unit_index) with normalized = p * i^unit_index.
     """
     if p.is_zero():
         return p, 0
-    for k in range(4):
-        q = p.scale_unit(k)
-        if q.leading().re > 0:
-            return q, k
-    for k in range(4):
-        q = p.scale_unit(k)
-        lc = q.leading()
-        if lc.re == 0 and lc.im > 0:
-            return q, k
-    raise AssertionError("unreachable")
+    a, b = p._re[-1], p._im[-1]
+    # lc * i^k for k = 0..3 is (a, b), (-b, a), (-a, -b), (b, -a)
+    k = (0 if a > 0 and b >= 0 else 1 if a >= 0 and b < 0
+         else 2 if a < 0 and b <= 0 else 3)
+    return p.scale_unit(k), k
 
 
 def sign_normalize(p: GPoly) -> GPoly:

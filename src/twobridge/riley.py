@@ -116,8 +116,11 @@ def hat(g: GPoly) -> GPoly:
     return q if g.degree % 2 == 0 else -q
 
 
-def split_polynomial(P: GPoly, is_knot: bool = True, precision: int = 256,
-                     max_pairs: int = 24) -> Splitting:
+_MAX_PAIRS = 24   # 2^k sign choices are screened for k root pairs
+
+
+def split_polynomial(P: GPoly, is_knot: bool = True,
+                     precision: int = 256) -> Splitting:
     """Find integer g with P = unit * u * g * ghat, ghat != g.
 
     Roots of P/u come in +-r pairs; each choice of one root per pair gives a
@@ -135,8 +138,8 @@ def split_polynomial(P: GPoly, is_knot: bool = True, precision: int = 256,
     if Q.is_zero() or Q.degree % 2 != 0:
         raise RileyError("P/u must have even degree")
     k = Q.degree // 2
-    if k > max_pairs:
-        raise RileyError("too many root pairs (%d > %d)" % (k, max_pairs))
+    if k > _MAX_PAIRS:
+        raise RileyError("too many root pairs (%d > %d)" % (k, _MAX_PAIRS))
     if k == 0:
         raise RileyError("constant P/u cannot split with ghat != g")
     roots = find_roots(Q, precision=precision)

@@ -100,6 +100,44 @@ class TestRepPoly:
         assert by_fraction.splitlines() == ["u^8 - 2*u^6 + 2*u^4",
                                             "u^8 + 2*u^6 + 2*u^4"]
 
+    def test_knot_prints_one_polynomial(self, capsys):
+        rc, out, _ = run(capsys, "reppoly", "3/7")
+        assert rc == 0
+        assert out == "u^7 - u^5 + 2*u^3 - u\n"
+        rc, out, _ = run(capsys, "--format", "json", "reppoly", "3/7")
+        assert rc == 0
+        doc = json.loads(out)
+        assert doc["rep_poly"] == "u^7 - u^5 + 2*u^3 - u"
+        assert "rep_poly_iu" not in doc
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("argv", [
+        ("ors", "C[2,3]", "--type", "2", "--c", "a"),
+        ("ors", "C[2,3]", "--type", "3", "--c", "1,1", "--signs", "1,x,1"),
+    ])
+    def test_unparsable_ors_list_is_a_usage_error(self, capsys, argv):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_census_out_in_missing_directory(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "f.jsonl"
+        rc, out, err = run(capsys, "census", "--max-alpha", "5",
+                           "--out", str(path))
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert not path.parent.exists()
+
+    def test_numeric_failure_exits_3(self, capsys):
+        # P/u of 1/51 has 25 root pairs, over the splitting's limit
+        rc, out, err = run(capsys, "split", "1/51")
+        assert rc == 3
+        assert out == ""
+        assert err.startswith("numeric failure:")
+
 
 class TestOrs:
     def test_fault_spec(self, capsys):

@@ -19,7 +19,7 @@ from twobridge.geometry import (
     volumes_agree,
 )
 from twobridge.geometry import root_pairs
-from twobridge.polys import parse_poly
+from twobridge.polys import GPoly, parse_poly
 
 P = parse_poly
 
@@ -65,6 +65,19 @@ class TestFindRoots:
             assert len(mine) == len(theirs)
             for a in mine:
                 assert min(abs(a - b) for b in theirs) < 1e-25
+
+    def test_large_coefficients_give_true_roots_or_raise(self):
+        # max|c| = 10^400 > 2^64: a gate scaled by max|c| alone passes
+        # points of modulus ~1e398 that are far from every root
+        p = GPoly([-10 ** 400, 0, 1]) * P("u-3")
+        try:
+            roots = find_roots(p, precision=128)
+        except GeometryError:
+            return
+        with mp.workprec(128):
+            want = [mp.mpf(3), mp.mpf(10) ** 200, -mp.mpf(10) ** 200]
+            for w in want:
+                assert min(abs(r - w) for r in roots) < 1e-20 * abs(w)
 
     def test_residual_bound_met_for_large_degree(self):
         p = rep_polynomial(Fraction(61, 17))

@@ -130,6 +130,21 @@ class TestSubstitutions:
             q, unit = unit_normalize(p.scale_unit(k))
             assert q == p
 
+    def test_unit_normalize_is_a_normal_form(self):
+        # every leading coefficient in a box of Z[i], times each unit,
+        # normalizes to one polynomial, with leading coefficient in the
+        # quadrant re > 0, im >= 0
+        for a in range(-3, 4):
+            for b in range(-3, 4):
+                if a == b == 0:
+                    continue
+                p = GPoly.from_coeffs([(2, -1), (0, 5), (a, b)])
+                forms = {unit_normalize(p.scale_unit(k))[0] for k in range(4)}
+                assert len(forms) == 1
+                q, unit = unit_normalize(p)
+                assert q == p.scale_unit(unit)
+                assert q.leading().re > 0 and q.leading().im >= 0
+
 
 class TestEvenPart:
     def test_remark_4_12(self):
