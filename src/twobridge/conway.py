@@ -190,9 +190,10 @@ def even_expansion(frac: Fraction) -> ConwayWord:
         num, den = den - q * num, num
         if den < 0:
             num, den = -num, -den
-    word = ConwayWord(tuple(blocks))
-    assert all(n % 2 == 0 and n != 0 for n in blocks)
-    return word
+    if not all(n % 2 == 0 and n != 0 for n in blocks):
+        raise DescriptorError("greedy even expansion of %s/%s left %s"
+                              % (frac.alpha, frac.beta, blocks))
+    return ConwayWord(tuple(blocks))
 
 
 def transform_word(word: ConwayWord, kind: str) -> ConwayWord:

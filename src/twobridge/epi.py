@@ -292,6 +292,8 @@ def census_build(max_alpha: int, out=None, geometry: bool = True,
         raise EpiError("max_alpha must be >= 3")
     if out is not None and not os.path.isdir(os.path.dirname(out) or "."):
         raise EpiError("cannot write %s: no such directory" % out)
+    if out is not None and os.path.isdir(out):
+        raise EpiError("cannot write %s: it is a directory" % out)
     reps = class_representatives(max_alpha)
     cached = {}
     if out is not None:

@@ -2,8 +2,10 @@
 and complex volume.
 
 Roots are found by Aberth-Ehrlich simultaneous iteration at a requested
-working precision, with deterministic perturbed-circle starting points and
-Newton polishing.  The nonzero roots of a knot's rep-polynomial come in
+working precision, with deterministic starting points on a perturbed
+circle of the Fujiwara radius and Newton polishing that stops once a step
+falls below half the working precision (Bini, Numer. Algorithms 13, 1996).
+The nonzero roots of a knot's rep-polynomial come in
 pairs {r, -r}, since P = +-u R(u^2), and both members of a pair give the
 same representation; root_pairs is the one rule that keeps one root per
 pair.  Arc vectors evaluate the plat propagation numerically at a root,
@@ -87,7 +89,9 @@ def find_roots(p: GPoly, precision: int = 256):
     |q(r)| <= 2^(-bits/2) * sum_k |c_k| |r|^k,
     the second a backward-error bound that holds at any coefficient scale.
     On failure the precision is doubled (twice) before a GeometryError.
-    Nonzero roots are sorted by (re, im).
+    Nonzero roots are sorted by (re, im), both rounded to multiples of
+    2^-(precision//2), so that real parts equal up to rounding noise tie
+    and the imaginary parts decide (_root_key).
     """
     if p.is_zero():
         raise GeometryError("zero polynomial has no well-defined root set")
@@ -103,12 +107,19 @@ def find_roots(p: GPoly, precision: int = 256):
             roots = _aberth(q, attempt_bits)
             with mp.workprec(precision):
                 roots = [mp.mpc(r) for r in roots]
-                roots.sort(key=lambda z: (z.real, z.imag))
+                roots.sort(key=functools.partial(_root_key, precision // 2))
                 return zeros + roots
         except GeometryError as e:
             last_err = e
             attempt_bits *= 2
     raise last_err
+
+
+def _root_key(bits, z):
+    """(re, im) rounded to multiples of 2^-bits: real parts equal up to
+    rounding noise tie, and the imaginary parts decide."""
+    return (int(mp.nint(mp.ldexp(z.real, bits))),
+            int(mp.nint(mp.ldexp(z.imag, bits))))
 
 
 def root_pairs(roots):
@@ -163,7 +174,24 @@ def _aberth_sweeps(coeffs, dcoeffs, z, tol):
     return z
 
 
+def _fujiwara_radius(coeffs):
+    """2 max_k |c_(n-k)|^(1/k) for monic coefficients c_0..c_n: every root
+    lies in this disc (Fujiwara 1916), and radius^n stays near the scale
+    of the coefficients, so the float sweep does not overflow."""
+    n = len(coeffs) - 1
+    return 2 * max(abs(coeffs[n - k]) ** (1 / k) for k in range(1, n + 1))
+
+
 def _aberth(q: GPoly, bits: int):
+    """Roots of q to about bits bits, residual-gated (see find_roots).
+
+    Aberth sweeps start on a perturbed circle of the Fujiwara radius
+    (_fujiwara_radius), in machine floats when the monic coefficients fit
+    and at bits + 32 bits otherwise.  Each root is then Newton-polished at
+    bits + 32 bits until a step is at most 2^-((bits+32)//2 + 4) max(1,|z|),
+    after which the next step would only square an error already below
+    the working precision; 3 + bitlength(bits - 40) steps is the cap.
+    """
     n = q.degree
     rng = random.Random(_ABERTH_SEED)
     angles = [2 * (j + 0.25 + 0.5 * rng.random()) / n for j in range(n)]
@@ -177,7 +205,7 @@ def _aberth(q: GPoly, bits: int):
         lead_c = complex(lead.re, lead.im)
         coeffs_f = [complex(c.re, c.im) / lead_c for c in q.coeffs()]
         if all(abs(c) < 1e100 for c in coeffs_f):
-            radius = 1 + max(abs(c) for c in coeffs_f[:-1])
+            radius = _fujiwara_radius(coeffs_f)
             dcoeffs_f = [k * coeffs_f[k] for k in range(1, n + 1)]
             z = [radius * cmath.exp(1j * cmath.pi * a) for a in angles]
             z = _aberth_sweeps(coeffs_f, dcoeffs_f, z, 5e-14)
@@ -191,20 +219,25 @@ def _aberth(q: GPoly, bits: int):
         coeffs = [mp.mpc(c.re, c.im) / lead_m for c in q.coeffs()]
         dcoeffs = [k * coeffs[k] for k in range(1, n + 1)]
         if z0 is None:
-            radius = 1 + max(abs(c) for c in coeffs[:-1])
+            radius = _fujiwara_radius(coeffs)
             z = [radius * mp.expjpi(a) for a in angles]
             z = _aberth_sweeps(coeffs, dcoeffs, z, 1e-14)
         else:
             z = [mp.mpc(x) for x in z0]
 
-        # Newton refinement doubles correct digits per step
+        # Newton refinement doubles correct digits per step; a step below
+        # half the working precision leaves the root exact to it
         steps = 3 + max(0, bits - 40).bit_length()
+        stop = mp.ldexp(1, -((bits + 32) // 2 + 4))
         for j in range(n):
             for _ in range(steps):
                 dj = _horner(dcoeffs, z[j])
                 if dj == 0:
                     break
-                z[j] = z[j] - _horner(coeffs, z[j]) / dj
+                step = _horner(coeffs, z[j]) / dj
+                z[j] = z[j] - step
+                if abs(step) <= stop * max(1, abs(z[j])):
+                    break
         # residual gate (see find_roots)
         eps = mp.mpf(2) ** (-bits // 2)
         bound = eps * max(abs(c) for c in coeffs)

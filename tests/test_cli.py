@@ -131,6 +131,14 @@ class TestExitCodes:
         assert err.startswith("error:")
         assert not path.parent.exists()
 
+    def test_census_out_naming_a_directory(self, capsys, tmp_path):
+        rc, out, err = run(capsys, "census", "--max-alpha", "5",
+                           "--out", str(tmp_path))
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert list(tmp_path.iterdir()) == []
+
     def test_numeric_failure_exits_3(self, capsys):
         # P/u of 1/51 has 25 root pairs, over the splitting's limit
         rc, out, err = run(capsys, "split", "1/51")

@@ -18,6 +18,7 @@ from twobridge.geometry import (
     volume_reduce,
     volumes_agree,
 )
+from twobridge.epi import class_representatives
 from twobridge.geometry import root_pairs
 from twobridge.polys import GPoly, parse_poly
 
@@ -367,3 +368,52 @@ class TestRootPairs:
                 root_pairs([mp.mpc(1), mp.mpc(-1), mp.mpc(2), mp.mpc(-2.5)])
             with pytest.raises(GeometryError):
                 root_pairs([mp.mpc(1), mp.mpc(-1), mp.mpc(3)])
+
+
+class TestRootsLayer:
+    def test_noise_ties_in_real_part_sort_by_imaginary_part(self):
+        # the nonzero roots of 8/7 are purely imaginary; their real parts
+        # are rounding noise and must not decide the order
+        roots = find_roots(rep_polynomial(Fraction(8, 7)), precision=256)
+        with mp.workprec(256):
+            tied = [r for r in roots
+                    if r != 0 and abs(r.real) < mp.ldexp(1, -128)]
+            assert len(tied) == 6
+            assert all(a.imag < b.imag for a, b in zip(tied, tied[1:]))
+
+    def test_torus_knot_above_degree_42(self):
+        # T(2,43): P has the nonzero roots 2 cos(j pi / 43), j = 1..42
+        roots = find_roots(rep_polynomial(Fraction(43, 1)), precision=192)
+        with mp.workprec(192):
+            nonzero = sorted((r for r in roots if r != 0),
+                             key=lambda r: r.real)
+            want = sorted(2 * mp.cos(j * mp.pi / 43) for j in range(1, 43))
+            assert len(nonzero) == 42
+            for r, w in zip(nonzero, want):
+                assert abs(r - w) < mp.ldexp(1, -176)
+
+    def test_knots_to_alpha_15_match_polyroots(self):
+        # an early Newton stop must not lose digits at 256 bits
+        for f in class_representatives(15):
+            if not f.is_knot:
+                continue
+            p = rep_polynomial(f)
+            mine = [r for r in find_roots(p, precision=256) if r != 0]
+            with mp.workprec(256):
+                q = p.strip_zero_roots()[0]
+                coeffs = [mp.mpf(c.re) for c in reversed(q.coeffs())]
+                theirs = mp.polyroots(coeffs, maxsteps=200, extraprec=512)
+                assert len(mine) == len(theirs) == q.degree
+                for b in theirs:
+                    gap = min(abs(a - b) for a in mine)
+                    assert gap < mp.ldexp(max(1, abs(b)), -240), (f, b)
+
+    @pytest.mark.parametrize("beta, centre", [(7, 1), (17, 1j)])
+    def test_triple_root_clusters_root_at_128_bits(self, beta, centre):
+        # 7/24: R = -(y - 1)^3 (degree 8), so P has triple roots at +-1;
+        # 17/24 has them at +-i
+        p = rep_polynomial(Fraction(24, beta))
+        roots = find_roots(p, precision=128)
+        assert len(roots) == p.degree
+        for s in (centre, -centre):
+            assert sum(1 for r in roots if abs(r - s) < 1e-6) == 3
