@@ -65,6 +65,8 @@ def _pick_root(roots, spec):
     """--root as an index into the sorted list or a complex anchor value."""
     if spec is None:
         raise DescriptorError("--root is required")
+    if not roots:
+        raise DescriptorError("the rep-polynomial has no nonzero root")
     try:
         idx = int(spec)
     except ValueError:

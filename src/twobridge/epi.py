@@ -290,6 +290,8 @@ def census_build(max_alpha: int, out=None, geometry: bool = True,
     `jobs` worker processes when jobs > 1."""
     if max_alpha < 3:
         raise EpiError("max_alpha must be >= 3")
+    if jobs < 1:
+        raise EpiError("jobs must be >= 1")
     if out is not None and not os.path.isdir(os.path.dirname(out) or "."):
         raise EpiError("cannot write %s: no such directory" % out)
     if out is not None and os.path.isdir(out):

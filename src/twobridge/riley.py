@@ -8,8 +8,10 @@ The word matrix of S(alpha, beta) is
 with rho(a) = [[1,1],[0,1]], rho(b) = [[1,0],[-y,1]]; beta is taken in its
 odd representative (beta or beta - alpha), the range Riley's normal form
 requires.  Knots use W_11 (the word has alpha-1 letters ending in b), links
-use W_12 (ending in a).  The coloring polynomial satisfies
-P(u) = +- u^eps * R(u^2) with eps = 1 for knots, 2 for links.
+use W_12 (ending in a).  Both sit in row 1 of W, so the Riley polynomial
+forms only row 1; the full matrix is built row by row, on request.  The
+coloring polynomial satisfies P(u) = +- u^eps * R(u^2) with eps = 1 for
+knots, 2 for links.
 """
 
 from __future__ import annotations
@@ -44,27 +46,30 @@ def epsilon_sequence(frac: Fraction) -> tuple:
     return tuple(-(-1) ** ((i * b) // a) for i in range(1, a))
 
 
-def _word_matrix(eps, start_with_a: bool):
-    """Product of rho(a)^e, rho(b)^e letters by sparse column operations.
+def _word_row(eps, start_with_a: bool, row):
+    """One row of the word matrix: `row` times the rho(a)^e, rho(b)^e letters,
+    by sparse column operations.
 
-    Entries are polynomials in y; returns ((w11, w12), (w21, w22)).
+    Entries are polynomials in y; returns the row (c1, c2).
     """
-    w11, w12 = _ONE, _ZERO
-    w21, w22 = _ZERO, _ONE
+    c1, c2 = row
     use_a = start_with_a
     for e in eps:
         if use_a:
             # W <- W * [[1, e], [0, 1]]: c2 += e * c1
-            w12 = w12 + w11 if e > 0 else w12 - w11
-            w22 = w22 + w21 if e > 0 else w22 - w21
+            c2 = c2 + c1 if e > 0 else c2 - c1
         else:
             # W <- W * [[1, 0], [-e y, 1]]: c1 -= e * y * c2
-            sh = _Y * w12
-            w11 = w11 - sh if e > 0 else w11 + sh
-            sh = _Y * w22
-            w21 = w21 - sh if e > 0 else w21 + sh
+            sh = _Y * c2
+            c1 = c1 - sh if e > 0 else c1 + sh
         use_a = not use_a
-    return (w11, w12), (w21, w22)
+    return c1, c2
+
+
+def _word_matrix(eps, start_with_a: bool):
+    """The word matrix ((w11, w12), (w21, w22)), one row at a time."""
+    return (_word_row(eps, start_with_a, (_ONE, _ZERO)),
+            _word_row(eps, start_with_a, (_ZERO, _ONE)))
 
 
 def riley_matrix(frac: Fraction):
@@ -78,8 +83,11 @@ def riley_matrix_star(frac: Fraction):
 
 
 def riley_polynomial(frac: Fraction) -> GPoly:
-    """W_11 for knots (degree (alpha-1)/2), W_12 for links ((alpha-2)/2)."""
-    (w11, w12), _ = riley_matrix(frac)
+    """W_11 for knots (degree (alpha-1)/2), W_12 for links ((alpha-2)/2).
+
+    Both entries sit in row 1 of W, so only row 1 is formed.
+    """
+    w11, w12 = _word_row(epsilon_sequence(frac), True, (_ONE, _ZERO))
     return w11 if frac.is_knot else w12
 
 

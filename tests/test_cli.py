@@ -41,6 +41,18 @@ class TestRootIndex:
         assert rc == 0
         assert by_index == by_anchor
 
+    @pytest.mark.parametrize("argv", [
+        ("reps", "1/2", "--root", "0"),
+        ("volume", "1/2", "--root", "0.5"),
+        ("cusp", "1/2", "--root", "1+1i"),
+    ])
+    def test_no_nonzero_root(self, capsys, argv):
+        # the Hopf link has P = u^2: index and anchor have nothing to pick
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2
+        assert out == ""
+        assert "no nonzero root" in err
+
 
 class TestSplit:
     def test_link_is_a_usage_error(self, capsys):
@@ -138,6 +150,14 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error:")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_census_jobs_below_1(self, capsys, jobs):
+        rc, out, err = run(capsys, "census", "--max-alpha", "5",
+                           "--jobs", jobs)
+        assert rc == 2
+        assert out == ""
+        assert "jobs" in err
 
     def test_numeric_failure_exits_3(self, capsys):
         # P/u of 1/51 has 25 root pairs, over the splitting's limit

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from twobridge.conway import Fraction, parse_descriptor, slope
 from twobridge.coloring import color_general_word, rep_polynomial, rep_poly_pair
-from twobridge.polys import GPoly, U, exact_divide, expand_at_u_squared, \
-    parse_poly, sign_normalize
+from twobridge.polys import GPoly, PolyMatrix2, U, exact_divide, \
+    expand_at_u_squared, parse_poly, sign_normalize
 from twobridge.riley import (
     RileyError,
     epsilon_sequence,
@@ -96,6 +96,23 @@ class TestRileyPolynomial:
             for i in range(len(roots)):
                 for j in range(i + 1, len(roots)):
                     assert abs(roots[i] - roots[j]) > 1e-9
+
+
+class TestRowOne:
+    """riley_polynomial forms row 1 only; the full matrix both rows."""
+
+    def test_matches_full_matrix(self):
+        large = (Fraction(1037, 726), Fraction(1144, 1035))  # knot, link
+        for frac in (*coprime(60), *large):
+            (w11, w12), _ = riley_matrix(frac)
+            assert riley_polynomial(frac) == (w11 if frac.is_knot else w12)
+
+    def test_unimodular(self):
+        one = GPoly.one()
+        for frac in coprime(40):
+            for (w11, w12), (w21, w22) in (riley_matrix(frac),
+                                           riley_matrix_star(frac)):
+                assert PolyMatrix2(w11, w12, w21, w22).det() == one
 
 
 class TestBridge:
