@@ -36,7 +36,8 @@ from .coloring import (
     rep_polynomial,
     rep_poly_pair,
 )
-from .polys import GPoly, divides, exact_divide, poly_to_json, format_poly
+from .polys import GPoly, divides, exact_divide, format_poly, \
+    gauss_divides, int_value, poly_to_json
 from . import riley as _riley
 
 
@@ -282,8 +283,10 @@ def build_record(frac: Fraction, geometry: bool = True, precision: int = 128):
 def census_build(max_alpha: int, out=None, geometry: bool = True,
                  precision: int = 128, jobs: int = 1):
     """Build records for every class with alpha <= max_alpha plus the
-    divisibility edges.  Writes JSONL to `out` (appending idempotently,
-    keyed by (alpha, beta)) when given; returns (records, edges).
+    divisibility edges (divisibility_edges: each pair is value-screened at
+    t = 2, 3, 5 before exact_divide decides).  Writes JSONL to `out`
+    (appending idempotently, keyed by (alpha, beta)) when given; returns
+    (records, edges).
 
     A record already in `out` is reused when it was built with the same
     geometry flag and precision; only the other classes are built, in
@@ -321,30 +324,7 @@ def census_build(max_alpha: int, out=None, geometry: bool = True,
         cached[(rec["alpha"], rec["beta"])] = rec
     records = [cached[(f.alpha, f.beta)] for f in reps]
 
-    # polynomial sets once per class; each set's first entry is P itself
-    sets = {}
-    for rec in records:
-        f = Fraction(rec["alpha"], rec["beta"])
-        sets[(f.alpha, f.beta)] = rep_poly_set(f)
-    edges = []
-    for rec1 in records:
-        f1 = (rec1["alpha"], rec1["beta"])
-        for rec2 in records:
-            f2 = (rec2["alpha"], rec2["beta"])
-            if f1 == f2 or rec2["alpha"] > rec1["alpha"]:
-                continue
-            p2 = sets[f2][0][1]
-            for name, p1 in sets[f1]:
-                if exact_divide(p1, p2) is not None:
-                    edges.append({
-                        "type": "edge",
-                        "from": list(f1),
-                        "to": list(f2),
-                        "witness": name,
-                        "certified_epimorphism":
-                            rec1["is_knot"] and rec2["is_knot"],
-                    })
-                    break
+    edges = divisibility_edges(reps)
     if out is not None:
         with open(out, "w") as fh:
             for rec in records:
@@ -352,6 +332,45 @@ def census_build(max_alpha: int, out=None, geometry: bool = True,
             for e in edges:
                 fh.write(json.dumps(e) + "\n")
     return records, edges
+
+
+# a divisor of P1 over Z[i] divides its value at every integer point
+_SCREEN_POINTS = (2, 3, 5)
+
+
+def divisibility_edges(fracs):
+    """The edges K1 -> K2 among the classes fracs (K1 != K2, alpha(K2) <=
+    alpha(K1)): P of K2 divides a polynomial of K1's rep_poly_set, the
+    first such in set order being the witness.
+
+    Each pair is value-screened first: deg P2 <= deg P1 and P2(t) | P1(t)
+    in Z[i] at t = 2, 3, 5, which every exact divisor passes, with the
+    values computed once per class.  exact_divide alone accepts an edge."""
+    sets = {}
+    for f in fracs:
+        sets[f] = [(name, p, [int_value(p, t) for t in _SCREEN_POINTS])
+                   for name, p in rep_poly_set(f)]
+    edges = []
+    for f1 in fracs:
+        for f2 in fracs:
+            if f1 == f2 or f2.alpha > f1.alpha:
+                continue
+            # each set's first entry is P itself
+            _, p2, v2 = sets[f2][0]
+            for name, p1, v1 in sets[f1]:
+                if p2.degree > p1.degree or not all(
+                        gauss_divides(a, b) for a, b in zip(v2, v1)):
+                    continue
+                if exact_divide(p1, p2) is not None:
+                    edges.append({
+                        "type": "edge",
+                        "from": [f1.alpha, f1.beta],
+                        "to": [f2.alpha, f2.beta],
+                        "witness": name,
+                        "certified_epimorphism": f1.is_knot and f2.is_knot,
+                    })
+                    break
+    return edges
 
 
 def _record_worker(args):

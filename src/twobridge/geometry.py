@@ -1,19 +1,23 @@
 """Numeric layer: roots, arc coloring vectors, region variables, cusp shape
 and complex volume.
 
-Roots are found by Aberth-Ehrlich simultaneous iteration at a requested
-working precision, with deterministic starting points on a perturbed
-circle of the Fujiwara radius and Newton polishing that stops once a step
-falls below half the working precision (Bini, Numer. Algorithms 13, 1996).
-The nonzero roots of a knot's rep-polynomial come in
-pairs {r, -r}, since P = +-u R(u^2), and both members of a pair give the
-same representation; root_pairs is the one rule that keeps one root per
-pair.  Arc vectors evaluate the plat propagation numerically at a root,
-region vectors are obtained by propagating a generic base vector across
-strand pieces with the symplectic-quandle action, and the cusp shape and
-complex volume are crossing state sums in the region variables w_j.  The
-volume potential of a crossing is one formula: on the minus branch with
-labels (a, b, c, d) it is the negated potential of the other branch at
+Roots are found in three stages (Aberth-Ehrlich simultaneous iteration,
+Bini, Numer. Algorithms 13, 1996): float Aberth sweeps from deterministic
+starting points on a perturbed circle of the Fujiwara radius, each root
+frozen once its residual is at float rounding; Aberth sweeps at the
+working precision from the float roots, whose repulsion keeps every root
+found once; and a per-root Newton polish, with guard bits for the root's
+condition number, that stops once a step falls below half the working
+precision.  A residual gate then checks every root.  The nonzero roots of
+a knot's rep-polynomial come in pairs {r, -r}, since P = +-u R(u^2), and
+both members of a pair give the same representation; root_pairs is the
+one rule that keeps one root per pair.  Arc vectors evaluate the plat
+propagation numerically at a root, region vectors are obtained by
+propagating a generic base vector across strand pieces with the
+symplectic-quandle action, and the cusp shape and complex volume are
+crossing state sums in the region variables w_j.  The volume potential
+of a crossing is one formula: on the minus branch with labels
+(a, b, c, d) it is the negated potential of the other branch at
 (d, a, b, c), gradient included.
 
 The complex volume sums five dilogarithms per crossing; they are the
@@ -83,7 +87,9 @@ def find_roots(p: GPoly, precision: int = 256):
     """All complex roots of p with multiplicity, Aberth-Ehrlich iteration.
 
     Zero roots are stripped exactly first and come first, as exact zeros.
-    With q the monic part left, of degree n, and bits the working
+    The rest are found by _aberth: float sweeps that freeze each root at
+    float rounding, Aberth sweeps at the working precision, then a Newton
+    polish.  With q the monic part left, of degree n, and bits the working
     precision, every root r must meet both
     |q(r)| <= 2^(-bits/2) * max|coeff| * max(1,|r|)^n and
     |q(r)| <= 2^(-bits/2) * sum_k |c_k| |r|^k,
@@ -151,13 +157,26 @@ def _horner(cs, x):
     return acc
 
 
-def _aberth_sweeps(coeffs, dcoeffs, z, tol):
-    """Aberth-Ehrlich synchronous sweeps over a generic complex type."""
+def _aberth_sweeps(coeffs, dcoeffs, z, tol, freeze=0):
+    """Aberth-Ehrlich synchronous sweeps over a generic complex type, until
+    no root moves by tol relative to max(1,|z|) in a sweep or the cap.
+
+    With freeze > 0, a root whose residual |q(z)| is at most
+    freeze * sum_k |c_k| |z|^k is frozen: it stays where it is (still
+    repelling the others), and the sweeps also stop once every root is
+    frozen."""
     n = len(z)
+    frozen = [False] * n
+    abs_coeffs = [abs(c) for c in coeffs]
     for _ in range(_ABERTH_MAX_SWEEPS):
         moved = 0.0
         for j in range(n):
+            if frozen[j]:
+                continue
             pj = _horner(coeffs, z[j])
+            if freeze and abs(pj) <= freeze * _horner(abs_coeffs, abs(z[j])):
+                frozen[j] = True
+                continue
             dj = _horner(dcoeffs, z[j])
             if dj == 0:
                 z[j] = z[j] * (1 + tol) + tol
@@ -182,15 +201,51 @@ def _fujiwara_radius(coeffs):
     return 2 * max(abs(coeffs[n - k]) ** (1 / k) for k in range(1, n + 1))
 
 
+def _monic_coeffs(q: GPoly):
+    """(coefficients of q / lead, of its derivative) at the current
+    precision, lowest degree first."""
+    lead = mp.mpc(q.leading().re, q.leading().im)
+    coeffs = [mp.mpc(c.re, c.im) / lead for c in q.coeffs()]
+    return coeffs, [k * coeffs[k] for k in range(1, len(coeffs))]
+
+
+def _guard_bits(coeffs, dcoeffs, z, cap):
+    """log2 of the largest relative condition number of a root z_j of the
+    monic q, sum_k |c_k| |z_j|^k / (max(1,|z_j|) |q'(z_j)|), at most cap.
+
+    Rounding at p bits in Horner's q moves z_j by about that number times
+    2^-p relative, so this many guard bits keep it within 2^-p."""
+    abs_coeffs = [abs(c) for c in coeffs]
+    worst = 1
+    for r in z:
+        m = abs(r)
+        d = abs(_horner(dcoeffs, r)) * max(1, m)
+        if d == 0:
+            return cap
+        worst = max(worst, _horner(abs_coeffs, m) / d)
+    if not worst < mp.ldexp(1, cap):
+        return cap
+    return int(mp.ceil(mp.log(worst, 2)))
+
+
 def _aberth(q: GPoly, bits: int):
     """Roots of q to about bits bits, residual-gated (see find_roots).
 
-    Aberth sweeps start on a perturbed circle of the Fujiwara radius
-    (_fujiwara_radius), in machine floats when the monic coefficients fit
-    and at bits + 32 bits otherwise.  Each root is then Newton-polished at
-    bits + 32 bits until a step is at most 2^-((bits+32)//2 + 4) max(1,|z|),
-    after which the next step would only square an error already below
-    the working precision; 3 + bitlength(bits - 40) steps is the cap.
+    Three stages, one path.
+    1. Float Aberth sweeps start on a perturbed circle of the Fujiwara
+       radius (_fujiwara_radius) when the monic coefficients fit in machine
+       floats, and freeze each root once its residual is at float rounding,
+       |q(z)| <= 2^-46 sum_k |c_k| |z|^k; they stop when every root is
+       frozen.
+    2. Aberth sweeps at bits + 32 bits start from the float roots (from the
+       circle when the floats do not fit) and run until no step exceeds
+       1e-14 relative.  Their repulsion keeps two iterates from settling on
+       one root, which a per-root polish and a per-root gate cannot see.
+    3. Each root is Newton-polished at bits + 32 bits plus _guard_bits
+       (at most bits more, from the float roots when there are any) until
+       a step is at most 2^-((bits+32)//2 + 4) max(1,|z|), after which the
+       next step would only square an error already below the working
+       precision; 3 + bitlength(bits - 40) steps is the cap.
     """
     n = q.degree
     rng = random.Random(_ABERTH_SEED)
@@ -200,7 +255,7 @@ def _aberth(q: GPoly, bits: int):
     # stage 1: machine-precision sweeps whenever the coefficients fit
     import cmath
 
-    z0 = None
+    z0 = guard = None
     try:
         lead_c = complex(lead.re, lead.im)
         coeffs_f = [complex(c.re, c.im) / lead_c for c in q.coeffs()]
@@ -208,25 +263,29 @@ def _aberth(q: GPoly, bits: int):
             radius = _fujiwara_radius(coeffs_f)
             dcoeffs_f = [k * coeffs_f[k] for k in range(1, n + 1)]
             z = [radius * cmath.exp(1j * cmath.pi * a) for a in angles]
-            z = _aberth_sweeps(coeffs_f, dcoeffs_f, z, 5e-14)
+            z = _aberth_sweeps(coeffs_f, dcoeffs_f, z, 5e-14, 2.0 ** -46)
             if all(cmath.isfinite(x) for x in z):
                 z0 = z
+                guard = _guard_bits(coeffs_f, dcoeffs_f, z, bits)
     except OverflowError:
         z0 = None
 
     with mp.workprec(bits + 32):
-        lead_m = mp.mpc(lead.re, lead.im)
-        coeffs = [mp.mpc(c.re, c.im) / lead_m for c in q.coeffs()]
-        dcoeffs = [k * coeffs[k] for k in range(1, n + 1)]
+        coeffs, dcoeffs = _monic_coeffs(q)
+        # stage 2: Aberth sweeps at the working precision
         if z0 is None:
             radius = _fujiwara_radius(coeffs)
             z = [radius * mp.expjpi(a) for a in angles]
-            z = _aberth_sweeps(coeffs, dcoeffs, z, 1e-14)
         else:
             z = [mp.mpc(x) for x in z0]
+        z = _aberth_sweeps(coeffs, dcoeffs, z, 1e-14)
+        if guard is None:
+            guard = _guard_bits(coeffs, dcoeffs, z, bits)
 
-        # Newton refinement doubles correct digits per step; a step below
-        # half the working precision leaves the root exact to it
+    with mp.workprec(bits + 32 + guard):
+        coeffs, dcoeffs = _monic_coeffs(q)
+        # stage 3: Newton refinement doubles correct digits per step; a step
+        # below half the working precision leaves the root exact to it
         steps = 3 + max(0, bits - 40).bit_length()
         stop = mp.ldexp(1, -((bits + 32) // 2 + 4))
         for j in range(n):

@@ -323,6 +323,21 @@ def divides(den: GPoly, num: GPoly) -> bool:
     return exact_divide(num, den) is not None
 
 
+def int_value(p: GPoly, t: int) -> tuple:
+    """p(t) at an integer t, exactly, as a (re, im) pair."""
+    vr = vi = 0
+    for k in range(p.degree, -1, -1):
+        vr, vi = vr * t + p._re[k], vi * t + p._im[k]
+    return vr, vi
+
+
+def gauss_divides(a: tuple, b: tuple) -> bool:
+    """Does the Gaussian integer a divide b?  Both are (re, im) pairs."""
+    if a == (0, 0):
+        return b == (0, 0)
+    return _gauss_exact_div(b[0], b[1], a[0], a[1]) is not None
+
+
 def rem_monic(num: GPoly, den: GPoly) -> GPoly:
     """Remainder of num modulo a monic den (leading coefficient 1)."""
     if den.leading() != GaussInt(1):

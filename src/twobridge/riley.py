@@ -154,22 +154,22 @@ def split_polynomial(P: GPoly, is_knot: bool = True,
     with mp.workprec(precision):
         reps = root_pairs(roots)
         reps_f = [complex(r) for r in reps]
-        # gray-code sweep of sum(+-r): cheap near-integer screen first
-        order = []
+        # gray-code sweep of sum(+-r): only the masks whose sum is near an
+        # integer are kept, and they are tried in mask order
+        hits = []
         signs = [1] * k
         cur = sum(reps_f)
-        order.append((0, cur))
-        gray_prev = 0
-        for m in range(1, 1 << k):
-            gray = m ^ (m >> 1)
-            bit = (gray ^ gray_prev).bit_length() - 1
-            signs[bit] = -signs[bit]
-            cur = cur + 2 * signs[bit] * reps_f[bit]
-            gray_prev = gray
-            order.append((gray, cur))
-        for mask, s in sorted(order):
-            if abs(s.imag) > 1e-6 or abs(s.real - round(s.real)) > 1e-6:
-                continue
+        gray = 0
+        for m in range(1 << k):
+            if m:
+                prev, gray = gray, m ^ (m >> 1)
+                bit = (gray ^ prev).bit_length() - 1
+                signs[bit] = -signs[bit]
+                cur = cur + 2 * signs[bit] * reps_f[bit]
+            if abs(cur.imag) <= 1e-6 and \
+                    abs(cur.real - round(cur.real)) <= 1e-6:
+                hits.append(gray)
+        for mask in sorted(hits):
             chosen = [(-reps[j] if (mask >> j) & 1 else reps[j]) for j in range(k)]
             g = _integer_poly_from_roots(chosen)
             if g is None:

@@ -178,3 +178,18 @@ class TestOrs:
         assert doc["seed_factor_witness"] == "P_A"
         assert doc["word"] == [-3, -3, 4, -3, -3, 4, -3, -3, 4, -3, -3, -2,
                                -3, -3]
+
+
+class TestRootsAtDefaultPrecision:
+    def test_t2_49_roots_distinct(self, capsys):
+        rc, out, _ = run(capsys, "--format", "json", "roots", "1/49")
+        assert rc == 0
+        roots = [(r["re"], r["im"]) for r in json.loads(out)["roots"]]
+        assert len(roots) == 49
+        assert len(set(roots)) == 49
+
+    @pytest.mark.parametrize("spec", ["7/24", "17/24"])
+    def test_triple_root_clusters_exit_0(self, capsys, spec):
+        rc, out, _ = run(capsys, "roots", spec)
+        assert rc == 0
+        assert len(out.splitlines()) == 24

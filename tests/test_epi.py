@@ -21,12 +21,13 @@ from twobridge.epi import (
     census_build,
     class_representatives,
     divisibility_check,
+    divisibility_edges,
     ors_factor_property,
     ors_word,
     rep_poly_set,
 )
-from twobridge.polys import parse_poly, rem_monic, sign_normalize, \
-    substitute_iu
+from twobridge.polys import exact_divide, parse_poly, rem_monic, \
+    sign_normalize, substitute_iu
 
 P = parse_poly
 
@@ -94,6 +95,26 @@ class TestDivisibility:
     def test_self_division(self):
         f = Fraction(7, 3)
         assert divisibility_check(f, f).divides
+
+    def test_screened_edges_equal_brute_force(self):
+        # the value screen only drops pairs exact division would refuse
+        fracs = class_representatives(21)
+        sets = {f: rep_poly_set(f) for f in fracs}
+        want = []
+        for f1 in fracs:
+            for f2 in fracs:
+                if f1 == f2 or f2.alpha > f1.alpha:
+                    continue
+                p2 = sets[f2][0][1]
+                for name, p1 in sets[f1]:
+                    if exact_divide(p1, p2) is not None:
+                        want.append(([f1.alpha, f1.beta], [f2.alpha, f2.beta],
+                                     name, f1.is_knot and f2.is_knot))
+                        break
+        got = [(e["from"], e["to"], e["witness"], e["certified_epimorphism"])
+               for e in divisibility_edges(fracs)]
+        assert got == want
+        assert len(want) > 100
 
 
 class TestOrsFactorProperty:

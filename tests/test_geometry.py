@@ -1,3 +1,5 @@
+import functools
+
 import mpmath as mp
 import pytest
 
@@ -417,3 +419,75 @@ class TestRootsLayer:
         assert len(roots) == p.degree
         for s in (centre, -centre):
             assert sum(1 for r in roots if abs(r - s) < 1e-6) == 3
+
+
+class TestRootsAboveDegree45:
+    # from degree ~46 a float sweep alone could leave two iterates on one
+    # root, and a per-root residual gate cannot see that
+    CLASSES = [(2, 47), (4, 47), (6, 49), (11, 57), (1, 49), (1, 61)]
+
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def nonzero_roots(beta, alpha):
+        p = rep_polynomial(Fraction(alpha, beta))
+        roots = find_roots(p, precision=256)
+        nonzero = [r for r in roots if r != 0]
+        assert len(roots) == p.degree
+        assert len(nonzero) == p.degree - 1
+        with mp.workprec(256):
+            assert len(root_pairs(nonzero)) == (p.degree - 1) // 2
+        return p.strip_zero_roots()[0], nonzero
+
+    @staticmethod
+    def assert_matched_one_to_one(mine, theirs):
+        nearest = []
+        for a in mine:
+            gaps = [abs(a - b) for b in theirs]
+            k = min(range(len(gaps)), key=gaps.__getitem__)
+            assert gaps[k] < mp.ldexp(max(1, abs(theirs[k])), -240)
+            nearest.append(k)
+        assert sorted(nearest) == list(range(len(theirs)))
+
+    @pytest.mark.parametrize("beta, alpha", CLASSES)
+    def test_disjoint_inclusion_disks(self, beta, alpha):
+        # the disk of radius n |q(r)/q'(r)| about any r holds a root of q;
+        # n pairwise disjoint such disks hold one root each, so every root
+        # is found once, to within its disk's radius
+        q, mine = self.nonzero_roots(beta, alpha)
+        n = q.degree
+        dq = GPoly.from_coeffs([(k * c.re, k * c.im) for k, c in
+                                enumerate(q.coeffs())][1:])
+        with mp.workprec(512):
+            radii = [n * abs(eval_poly(q, r) / eval_poly(dq, r)) for r in mine]
+            for r, rad in zip(mine, radii):
+                assert rad < mp.ldexp(max(1, abs(r)), -240)
+            for i in range(n):
+                for j in range(i):
+                    assert abs(mine[i] - mine[j]) > radii[i] + radii[j]
+
+    @pytest.mark.parametrize("beta, alpha", CLASSES[:4])
+    def test_match_polyroots(self, beta, alpha):
+        q, mine = self.nonzero_roots(beta, alpha)
+        with mp.workprec(256):
+            coeffs = [mp.mpf(c.re) for c in reversed(q.coeffs())]
+            theirs = mp.polyroots(coeffs, maxsteps=200, extraprec=128)
+            self.assert_matched_one_to_one(mine, theirs)
+
+    @pytest.mark.parametrize("alpha", [49, 61])
+    def test_torus_knots_match_closed_form(self, alpha):
+        # T(2,alpha): the nonzero roots are 2 cos(j pi / alpha)
+        _, mine = self.nonzero_roots(1, alpha)
+        with mp.workprec(256):
+            theirs = [2 * mp.cos(j * mp.pi / alpha) for j in range(1, alpha)]
+            self.assert_matched_one_to_one(mine, theirs)
+
+    @pytest.mark.parametrize("bits", [192, 256])
+    @pytest.mark.parametrize("beta, centre", [(7, 1), (17, 1j)])
+    def test_triple_root_clusters_root_at_192_and_256_bits(self, beta, centre,
+                                                           bits):
+        # the cluster members are backward-stable only, good to about 1e-17
+        p = rep_polynomial(Fraction(24, beta))
+        roots = find_roots(p, precision=bits)
+        assert len(roots) == p.degree
+        for s in (centre, -centre):
+            assert sum(1 for r in roots if abs(r - s) < 1e-12) == 3

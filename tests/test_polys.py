@@ -15,6 +15,8 @@ from twobridge.polys import (
     exact_divide,
     expand_at_u_squared,
     format_poly,
+    gauss_divides,
+    int_value,
     parse_poly,
     poly_from_json,
     poly_to_json,
@@ -317,3 +319,27 @@ class TestStripZeroRoots:
     def test_zero_polynomial_raises(self):
         with pytest.raises(ValueError):
             GPoly.zero().strip_zero_roots()
+
+
+class TestIntegerValues:
+    def test_value(self):
+        assert int_value(GPoly.from_coeffs([1, (0, 2), 3]), 2) == (13, 4)
+        assert int_value(GPoly([]), 5) == (0, 0)
+
+    def test_gauss_divides(self):
+        assert gauss_divides((1, 1), (2, 0))       # 2 = (1+i)(1-i)
+        assert not gauss_divides((2, 0), (1, 1))
+        assert gauss_divides((0, 0), (0, 0))
+        assert not gauss_divides((0, 0), (1, 0))
+
+    def test_every_divisor_passes_the_value_screen(self):
+        rng = random.Random(5)
+        def draw():
+            n = rng.randint(1, 6)
+            return GPoly([rng.randint(-9, 9) for _ in range(n)],
+                         [rng.randint(-9, 9) for _ in range(n)])
+
+        for _ in range(50):
+            a, b = draw(), draw()
+            for t in (2, 3, 5):
+                assert gauss_divides(int_value(a, t), int_value(a * b, t))
