@@ -12,7 +12,10 @@ word this wiring reproduces the paper's even-expansion block graph:
     a_{2k+2,0} = a_{2k,f},  b_{2k+2,0} = a_{2k+1,f}.
 
 Vectors are GPoly pairs (f, g) in the basis {a, b}, so the symplectic
-determinant of two vectors is (f1 g2 - g1 f2) * u with u = <a,b>.
+determinant of two vectors is (f1 g2 - g1 f2) * u with u = <a,b>.  With a
+monic modulus m they are pairs of Residues of Z[u]/(m) instead (see
+polys.ResidueRing): the same code runs on both, and every product is
+reduced mod m as it is formed.
 
 At a crossing the entering pair (x, y) becomes (x, y)X(d*u_i) where
 X(u) = [[0,-1],[1,-u]] and d is +1 or -1 according to the traced strand
@@ -25,7 +28,9 @@ Left-handed blocks apply the inverse matrices.  Over a whole block this
 collapses to Chebyshev closed forms in t = -2 - u_i^2 (block_transfer).
 
 There is one engine: color_plan propagates the vectors over a plan of any
-word, with or without a modulus, and forms both closure determinants.
+word, over Z[u] or in Z[u]/(m), and forms both closure determinants.  In
+Z[u]/(m) the Chebyshev window of a long block is built by doubling, so a
+block of n crossings costs O(log n) products of bounded size.
 color_general_word colors any word; color_even_expansion is the same
 engine restricted to all-even words in their anti-parallel orientation,
 the paper's form, kept as an oracle.  rep_polynomial colors a fraction on
@@ -37,7 +42,7 @@ from __future__ import annotations
 import dataclasses
 
 from .conway import ConwayWord, slope, word_of
-from .polys import GPoly, PolyMatrix2, U, cheb, p_window, rem_monic, \
+from .polys import GPoly, PolyMatrix2, ResidueRing, U, cheb, p_window, \
     sign_normalize, substitute_iu
 
 _ZERO = GPoly.zero()
@@ -160,13 +165,14 @@ def plan_plat(word: ConwayWord, orientation=None) -> PlatPlan:
 # -- block transfer matrices ------------------------------------------------
 
 
-def _x_power(v: GPoly, k: int) -> PolyMatrix2:
-    """X(v)^k = [[-p_{k-1}, -p_k], [p_k, p_{k+1}]] evaluated at -v."""
+def _x_power(v, k: int) -> PolyMatrix2:
+    """X(v)^k = [[-p_{k-1}, -p_k], [p_k, p_{k+1}]] evaluated at -v, for v a
+    GPoly or a Residue."""
     p0, p1, p2 = p_window(-v, k)
     return PolyMatrix2(-p0, -p1, p1, p2)
 
 
-def _pair_form(u_i: GPoly, n: int, first_plus: bool) -> PolyMatrix2:
+def _pair_form(u_i, n: int, first_plus: bool) -> PolyMatrix2:
     """(X(u)X(-u))^n when first_plus else (X(-u)X(u))^n, u = u_i, any n.
 
     Entries are Chebyshev in t = -2 - u^2:
@@ -178,8 +184,9 @@ def _pair_form(u_i: GPoly, n: int, first_plus: bool) -> PolyMatrix2:
     return PolyMatrix2(-(p0 + p1), off, off, p1 + p2)
 
 
-def block_transfer(u_i: GPoly, plan: BlockPlan) -> PolyMatrix2:
-    """Exact transfer matrix of one twist block acting on its strand pair."""
+def block_transfer(u_i, plan: BlockPlan) -> PolyMatrix2:
+    """Exact transfer matrix of one twist block acting on its strand pair;
+    its entries are of u_i's type, GPoly or Residue."""
     c, e, b = plan.count, plan.hand, plan.delta0
     if c == 0:
         return PolyMatrix2.identity()
@@ -195,18 +202,11 @@ def block_transfer(u_i: GPoly, plan: BlockPlan) -> PolyMatrix2:
     return T
 
 
-def _apply_pair(vecs, left: int, T: PolyMatrix2, modulus=None):
+def _apply_pair(vecs, left: int, T: PolyMatrix2):
     fL, gL = vecs[left]
     fR, gR = vecs[left + 1]
-    nfL = fL * T.a11 + fR * T.a21
-    ngL = gL * T.a11 + gR * T.a21
-    nfR = fL * T.a12 + fR * T.a22
-    ngR = gL * T.a12 + gR * T.a22
-    if modulus is not None:
-        nfL, ngL = rem_monic(nfL, modulus), rem_monic(ngL, modulus)
-        nfR, ngR = rem_monic(nfR, modulus), rem_monic(ngR, modulus)
-    vecs[left] = (nfL, ngL)
-    vecs[left + 1] = (nfR, ngR)
+    vecs[left] = (fL * T.a11 + fR * T.a21, gL * T.a11 + gR * T.a21)
+    vecs[left + 1] = (fL * T.a12 + fR * T.a22, gL * T.a12 + gR * T.a22)
 
 
 # -- the engine --------------------------------------------------------------
@@ -230,32 +230,38 @@ def color_plan(plan: PlatPlan, modulus=None):
     y at position 1 and z capped to it: <a_{k,f}, a_{k-1,f}> resp.
     <b_{k,f}, b_{k-1,f}>.  It must agree with raw_P up to sign.
 
-    With a monic integer modulus, all vector components and the closure
-    polynomials are reduced mod it (used for divisibility tests at scale).
+    With a monic integer modulus m the propagation runs in the residue ring
+    Z[u]/(m): every product, the Chebyshev windows of the block transfers
+    included, is reduced as it is formed, so sizes stay bounded and a
+    window of a long block is built by doubling (p_window).  The results
+    come back as GPolys of degree < deg m (used for divisibility tests at
+    scale).  A modulus that is not monic or not real raises ValueError.
     """
-    vecs = [(_ONE, _ZERO), (_ONE, _ZERO), (_ZERO, _ONE), (_ZERO, _ONE)]
+    if modulus is None:
+        ring = None
+        one, zero, u = _ONE, _ZERO, U
+    else:
+        ring = ResidueRing(modulus)
+        one, zero, u = ring.one, ring.zero, ring.u
+    vecs = [(one, zero), (one, zero), (zero, one), (zero, one)]
     ui = []
     for bp in plan.blocks:
         L = bp.left
         fL, gL = vecs[L]
         fR, gR = vecs[L + 1]
-        u_i = (fL * gR - gL * fR) * U
-        if modulus is not None:
-            u_i = rem_monic(u_i, modulus)
+        u_i = (fL * gR - gL * fR) * u
         ui.append(u_i)
         if bp.count:
-            T = block_transfer(u_i, bp)
-            _apply_pair(vecs, L, T, modulus)
-
-    def det_u(x, y):
-        d = (x[0] * y[1] - x[1] * y[0]) * U
-        return rem_monic(d, modulus) if modulus is not None else d
+            _apply_pair(vecs, L, block_transfer(u_i, bp))
 
     cap = bottom_caps(plan.k)
-    raw = vecs[cap[3]][0] * U   # <x, b> = f * u for x = (f, g)
-    companion = det_u(vecs[1], vecs[cap[1]])
-    if modulus is not None:
-        raw = rem_monic(raw, modulus)
+    y, z = vecs[1], vecs[cap[1]]
+    raw = vecs[cap[3]][0] * u   # <x, b> = f * u for x = (f, g)
+    companion = (y[0] * z[1] - y[1] * z[0]) * u
+    if ring is not None:
+        ui = [x.poly() for x in ui]
+        vecs = [(f.poly(), g.poly()) for f, g in vecs]
+        raw, companion = raw.poly(), companion.poly()
     return ui, vecs, raw, companion
 
 

@@ -5,7 +5,9 @@ A word C[e_1 a, 2c_1, e_2 a~, 2c_2, e_3 a, ...] built from a seed word a
 the big word's rep-polynomials, which is the computable side of the
 epimorphism partial order on 2-bridge knots.  Divisibility is always tested
 by exact polynomial division; large ORS words are handled by running the
-coloring engine with coefficients reduced modulo the seed polynomial.
+coloring engine in the residue ring Z[u]/(P_A) of the seed polynomial
+(modulo its core when u^2 does not divide P_A), where every product stays
+of bounded size and a 2c-block of any length costs O(log |c|) products.
 
 An expansion colored mod the seed core in an orientation that does not
 carry the seed's representations can have residues whose coefficients grow
@@ -36,7 +38,7 @@ from .coloring import (
     rep_polynomial,
     rep_poly_pair,
 )
-from .polys import GPoly, divides, exact_divide, format_poly, \
+from .polys import divides, exact_divide, format_poly, \
     gauss_divides, int_value, poly_to_json
 from . import riley as _riley
 
@@ -130,8 +132,11 @@ def ors_factor_property(spec: OrsSpec, certify_exact: bool = True):
     """Certify that the seed's rep-polynomial divides one of the expansion's
     rep-polynomials (the iu-companion for some link cases).
 
-    The expansion can be large, so the check runs the coloring engine with
-    all coefficients reduced mod the monic part of the seed polynomial; with
+    The expansion can be large, so the check runs the coloring engine once
+    per orientation in the residue ring Z[u]/(P_A), P_A = u^e core with
+    core(0) != 0: mod core when e = 1 (the closure determinant is f*u, so u
+    always divides it), mod P_A itself when e > 1.  The twist blocks' windows
+    are built by doubling there, so the cost grows with log |c_i|.  With
     certify_exact the divisibility of the fully expanded polynomials by the
     returned witness is additionally certified by exact division when the
     expansion's alpha is at most 400.  The certificate colors the
@@ -148,7 +153,7 @@ def ors_factor_property(spec: OrsSpec, certify_exact: bool = True):
     dropped; an orientation whose determinant is not 0 mod the core is
     dropped before its full coloring.  The screen only drops orientations:
     a result is accepted by the full check alone (the closure determinant 0
-    mod the core and, when u^e divides the candidate with e > 1, mod u^e).
+    mod P_A, or mod its core when e = 1).
 
     Returns (word, witness_name).  Raises EpiError if division fails.
     """
@@ -178,21 +183,22 @@ def ors_factor_property(spec: OrsSpec, certify_exact: bool = True):
         core, e = pa.strip_zero_roots()
         if not core.is_real() or core.leading().re != 1:
             continue
+        # raw is <x, b> = f*u, so u itself always divides it: with e = 1 the
+        # core decides.  With e > 1 one coloring mod pa = u^e core decides:
+        # both factors are monic and core(0) != 0, so they are coprime in
+        # Q[u], and raw is 0 mod pa exactly when it is 0 mod core and mod u^e
+        # (pa divides raw in Q[u], and the quotient by a monic divisor of an
+        # integer polynomial is integral).
+        modulus = core if e == 1 else pa
         for plan, prefix in plans:
             if prefix is not None:
                 _, _, _, closure = color_plan(prefix, modulus=core)
                 if not closure.is_zero():
                     continue
-            _, _, raw, _ = color_plan(plan, modulus=core)
-            if not raw.is_zero():
-                continue
-            # raw is <x, b> = f*u, so u itself always divides it
-            if e > 1:
-                _, _, low, _ = color_plan(plan, modulus=GPoly.monomial(e))
-                if not low.is_zero():
-                    continue
-            witness = (name, pa)
-            break
+            _, _, raw, _ = color_plan(plan, modulus=modulus)
+            if raw.is_zero():
+                witness = (name, pa)
+                break
         if witness is not None:
             break
     if witness is None:

@@ -5,9 +5,11 @@ imaginary coefficient parts), index = degree of the term.  Python ints are
 arbitrary precision, so coefficients of degree-200+ polynomials never
 overflow.  All operations are pure; values are immutable and hashable.
 
-Also provides the Chebyshev-style family p_n, f_n, v_n defined by the
-three-term recursion g_{n+1} = t*g_n - g_{n-1}, and SL(2) matrix powers
-expressed through that family.
+Also provides the residue ring Z[u]/(m) of a monic integer polynomial m
+(ResidueRing, whose Residues are never mutated once made), the
+Chebyshev-style family p_n, f_n, v_n defined by the three-term recursion
+g_{n+1} = t*g_n - g_{n-1}, and SL(2) matrix powers expressed through that
+family.
 """
 
 from __future__ import annotations
@@ -360,6 +362,112 @@ def rem_monic(num: GPoly, den: GPoly) -> GPoly:
     return GPoly(rr[:dd], ri[:dd])
 
 
+# -- residues modulo a monic integer polynomial ------------------------------
+
+
+class ResidueRing:
+    """Z[u]/(m) for a monic integer polynomial m of degree d.
+
+    Its elements are Residues: int coefficient lists of length d, index =
+    degree, always reduced mod m.  A product is reduced as soon as it is
+    formed, so no intermediate grows past degree 2d - 2.  Integer
+    coefficients only: there are no Gaussian parts to carry or test.
+    """
+
+    def __init__(self, modulus: GPoly):
+        if not modulus.is_real():
+            raise ValueError("modulus must have integer coefficients")
+        if modulus.leading() != GaussInt(1):
+            raise ValueError("modulus must be monic")
+        self.degree = d = modulus.degree
+        # u^d = -(m_0 + m_1 u + ... + m_{d-1} u^{d-1}) mod m
+        self._low = [(j, c) for j, c in enumerate(modulus._re[:d]) if c]
+        self.zero = self.element(_ZERO)
+        self.one = self.element(_ONE)
+        self.u = self.element(U)
+
+    def _reduce(self, c: list) -> "Residue":
+        """The residue of the int list c, reduced in place (len(c) >= d)."""
+        d, low = self.degree, self._low
+        for k in range(len(c) - 1, d - 1, -1):
+            x = c[k]
+            if x:
+                base = k - d
+                for j, mj in low:
+                    c[base + j] -= x * mj
+        del c[d:]
+        return Residue(self, c)
+
+    def element(self, p: GPoly) -> "Residue":
+        """The residue of an integer polynomial p."""
+        if not p.is_real():
+            raise ValueError("residues have integer coefficients")
+        return self._reduce(list(p._re) + [0] * (self.degree - len(p._re)))
+
+
+class Residue:
+    """An element of a ResidueRing.  Residues of one ring add, subtract and
+    multiply with each other and with ints, like GPolys."""
+
+    __slots__ = ("ring", "c")
+
+    def __init__(self, ring: ResidueRing, c: list):
+        self.ring = ring
+        self.c = c
+
+    def poly(self) -> GPoly:
+        """The reduced representative, as a GPoly of degree < d."""
+        return GPoly(self.c)
+
+    def _plus_int(self, k: int) -> "Residue":
+        c = list(self.c)
+        if c:
+            c[0] += k
+        return Residue(self.ring, c)
+
+    def __add__(self, other):
+        if isinstance(other, Residue):
+            return Residue(self.ring, [a + b for a, b in zip(self.c, other.c)])
+        if isinstance(other, int):
+            return self._plus_int(other)
+        return NotImplemented
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "Residue":
+        return Residue(self.ring, [-a for a in self.c])
+
+    def __sub__(self, other):
+        if isinstance(other, Residue):
+            return Residue(self.ring, [a - b for a, b in zip(self.c, other.c)])
+        if isinstance(other, int):
+            return self._plus_int(-other)
+        return NotImplemented
+
+    def __rsub__(self, other):
+        if isinstance(other, int):
+            return (-self)._plus_int(other)
+        return NotImplemented
+
+    def __mul__(self, other):
+        if isinstance(other, Residue):
+            # schoolbook product of degree <= 2d - 2, then one reduction
+            ring = self.ring
+            out = [0] * (2 * ring.degree - 1)
+            for i, x in enumerate(self.c):
+                if x:
+                    k = i
+                    for y in other.c:
+                        out[k] += x * y
+                        k += 1
+            return ring._reduce(out)
+        if isinstance(other, int):
+            return Residue(self.ring, [other * a for a in self.c])
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+
 # -- numeric evaluation -------------------------------------------------
 
 
@@ -444,13 +552,37 @@ def expand_at_u_squared(R: GPoly) -> GPoly:
 # -- Chebyshev family -----------------------------------------------------
 
 
+# Beyond this |n| a Residue window is built by doubling, with about 3.5
+# products per bit of |n| against one per step of the loop; timed on
+# moduli of degree 2-8, the loop is the faster one up to about here.
+_LINEAR_MAX = 20
+
+
 def p_window(t, n: int):
-    """(p_{n-1}(t), p_n(t), p_{n+1}(t)) for any integer n, iteratively.
-    t is a GPoly or a number."""
+    """(p_{n-1}(t), p_n(t), p_{n+1}(t)) for any integer n.  t is a GPoly, a
+    Residue or a number.
+
+    GPoly and number windows run the three-term recursion |n| times.  A
+    Residue's products stay of bounded size, so for |n| > _LINEAR_MAX its
+    window is built by doubling (p_k, p_{k+1}) along the bits of |n|:
+        p_{2k} = p_k (p_{k+1} - p_{k-1}),   p_{2k+1} = p_{k+1}^2 - p_k^2.
+    """
     m = abs(n)
-    x0, x1 = (_ZERO, _ONE) if isinstance(t, GPoly) else (0, 1)  # p_0, p_1
-    for _ in range(m):
-        x0, x1 = x1, t * x1 - x0
+    if isinstance(t, Residue):
+        x0, x1 = t.ring.zero, t.ring.one   # p_0, p_1
+    elif isinstance(t, GPoly):
+        x0, x1 = _ZERO, _ONE
+    else:
+        x0, x1 = 0, 1
+    if isinstance(t, Residue) and m > _LINEAR_MAX:
+        for bit in bin(m)[2:]:
+            # (p_k, p_{k+1}) -> (p_{2k}, p_{2k+1}), with p_{k-1} = t p_k - p_{k+1}
+            x0, x1 = x0 * (x1 + x1 - t * x0), (x1 - x0) * (x1 + x0)
+            if bit == "1":
+                x0, x1 = x1, t * x1 - x0
+    else:
+        for _ in range(m):
+            x0, x1 = x1, t * x1 - x0
     # x0 = p_m, x1 = p_{m+1}; p_{m-1} = t p_m - p_{m+1}
     pm_minus = t * x0 - x1
     if n >= 0:

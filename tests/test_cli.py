@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import twobridge
 from twobridge import cli
 
 
@@ -178,6 +182,25 @@ class TestOrs:
         assert doc["seed_factor_witness"] == "P_A"
         assert doc["word"] == [-3, -3, 4, -3, -3, 4, -3, -3, 4, -3, -3, -2,
                                -3, -3]
+
+
+class TestOrsLongTwist:
+    def test_twist_of_a_hundred_million_finishes(self):
+        # the 2c-block's window is built by doubling in Z[u]/(core): its
+        # cost grows with log |c|.  A subprocess with a timeout, so that a
+        # cost linear in c fails the test instead of hanging it.
+        src = os.path.dirname(os.path.dirname(twobridge.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            x for x in (src, env.get("PYTHONPATH")) if x)
+        proc = subprocess.run(
+            [sys.executable, "-m", "twobridge.cli", "--format", "json", "ors",
+             "C[2,3]", "--type", "2", "--c", "99999999"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert doc["seed_factor_witness"] == "P_A"
+        assert doc["word"] == [2, 3, 199999998, 3, 2]
 
 
 class TestRootsAtDefaultPrecision:

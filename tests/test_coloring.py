@@ -23,6 +23,7 @@ from twobridge.coloring import (
 )
 from twobridge.polys import GPoly, U, cheb, exact_divide, parse_poly, \
     sign_normalize, substitute_iu
+from twobridge.polys import rem_monic
 
 P = parse_poly
 
@@ -336,3 +337,49 @@ class TestOrientationHandling:
         a = color_general_word(word, d).rep_poly
         b = color_general_word(word, (-d[0], -d[1])).rep_poly
         assert a == b
+
+
+class TestModularColoring:
+    # a knot core (7/3), a link core (8/3, whose P is u^4 times it) and u^2
+    MODULI = ["u^6 - u^4 + 2*u^2 - 1", "u^4 - 2*u^2 + 2", "u^2"]
+
+    @staticmethod
+    def words(count, seed):
+        """Seeded words of 1-6 blocks of 1-3 crossings.  Every fourth word
+        is cut to at most 3 blocks and one of them given 21-30 crossings,
+        enough for its window to be built by doubling in the ring (a long
+        block in a long word would make the unreduced coloring huge)."""
+        rng = random.Random(seed)
+        out = []
+        while len(out) < count:
+            blocks = [rng.randint(1, 3) for _ in range(rng.randint(1, 6))]
+            if len(out) % 4 == 0:
+                del blocks[3:]
+                blocks[rng.randrange(len(blocks))] = rng.randint(21, 30)
+            word = ConwayWord(tuple(rng.choice((-1, 1)) * n for n in blocks))
+            if consistent_orientations(word.j_blocks):
+                out.append(word)
+        return out
+
+    def test_residues_equal_reduced_coloring(self):
+        moduli = [P(m) for m in self.MODULI]
+        planned = 0
+        for word in self.words(200, seed=31):
+            for orientation in consistent_orientations(word.j_blocks):
+                plan = plan_plat(word, orientation)
+                ui, vecs, raw, companion = color_plan(plan)
+                for m in moduli:
+                    r_ui, r_vecs, r_raw, r_companion = color_plan(plan, m)
+                    assert r_ui == [rem_monic(x, m) for x in ui]
+                    assert r_vecs == [(rem_monic(f, m), rem_monic(g, m))
+                                      for f, g in vecs]
+                    assert r_raw == rem_monic(raw, m)
+                    assert r_companion == rem_monic(companion, m)
+                planned += 1
+        assert planned > 200
+
+    @pytest.mark.parametrize("modulus", ["2*u^2 + 1", "u^2 + i"])
+    def test_bad_modulus_is_a_value_error(self, modulus):
+        plan = plan_plat(ConwayWord((2, 3)))
+        with pytest.raises(ValueError):
+            color_plan(plan, modulus=P(modulus))

@@ -1,9 +1,13 @@
+import os
 import random
+import subprocess
+import sys
 
 import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import twobridge
 from twobridge.polys import (
     GPoly,
     GaussInt,
@@ -26,6 +30,7 @@ from twobridge.polys import (
     substitute_iu,
     unit_normalize,
 )
+from twobridge.polys import ResidueRing, p_window
 
 
 def P(text):
@@ -343,3 +348,81 @@ class TestIntegerValues:
             a, b = draw(), draw()
             for t in (2, 3, 5):
                 assert gauss_divides(int_value(a, t), int_value(a * b, t))
+
+
+class TestResidueRing:
+    # the core of the rep-polynomial of 7/3 = C[2,3]
+    SEED_CORE = "u^6 - u^4 + 2*u^2 - 1"
+
+    def test_arithmetic_is_reduction_of_gpoly_arithmetic(self):
+        m = P(self.SEED_CORE)
+        ring = ResidueRing(m)
+        rng = random.Random(13)
+        for _ in range(100):
+            a = GPoly([rng.randint(-9, 9) for _ in range(rng.randint(0, 9))])
+            b = GPoly([rng.randint(-9, 9) for _ in range(rng.randint(0, 9))])
+            k = rng.randint(-5, 5)
+            ra, rb = ring.element(a), ring.element(b)
+            assert ra.poly() == rem_monic(a, m)
+            assert (ra * rb).poly() == rem_monic(a * b, m)
+            assert (ra + rb).poly() == rem_monic(a + b, m)
+            assert (ra - rb).poly() == rem_monic(a - b, m)
+            assert (-ra).poly() == rem_monic(-a, m)
+            assert (ra * k).poly() == (k * ra).poly() == rem_monic(a * k, m)
+            assert (ra + k).poly() == (k + ra).poly() == rem_monic(a + k, m)
+            assert (ra - k).poly() == rem_monic(a - k, m)
+            assert (k - ra).poly() == rem_monic(k - a, m)
+
+    @pytest.mark.parametrize("modulus", [SEED_CORE, "u^2"])
+    def test_windows_equal_the_reduced_recurrence(self, modulus):
+        # p_{k+1} = t p_k - p_{k-1} reduced by rem_monic at every step, for
+        # the two window arguments of the coloring: -u and -2 - u^2
+        m = P(modulus)
+        ring = ResidueRing(m)
+        N = 2000
+        for t in (-U, -(U * U) - 2):
+            seq = [GPoly.zero(), GPoly.one()]
+            for _ in range(N + 1):
+                seq.append(rem_monic(t * seq[-1] - seq[-2], m))
+
+            def p(j):
+                return seq[j] if j >= 0 else -seq[-j]
+
+            rt = ring.element(t)
+            for n in range(-N, N + 1):
+                got = [x.poly() for x in p_window(rt, n)]
+                assert got == [p(n - 1), p(n), p(n + 1)], n
+
+    @pytest.mark.parametrize("modulus", ["2*u^2 + 1", "-u^3 + u", "0"])
+    def test_non_monic_modulus_is_refused(self, modulus):
+        with pytest.raises(ValueError, match="monic"):
+            ResidueRing(P(modulus))
+
+    def test_non_real_modulus_is_refused(self):
+        with pytest.raises(ValueError, match="integer"):
+            ResidueRing(P("u^2 + i"))
+        with pytest.raises(ValueError, match="integer"):
+            ResidueRing(P("u^2 + 1")).element(P("i*u"))
+
+    def test_refusals_hold_under_optimize(self):
+        # the checks must not be asserts, which -O removes
+        code = (
+            "from twobridge.polys import ResidueRing, parse_poly\n"
+            "for m in ('2*u^2 + 1', 'u^2 + i'):\n"
+            "    try:\n"
+            "        ResidueRing(parse_poly(m))\n"
+            "    except ValueError:\n"
+            "        continue\n"
+            "    raise SystemExit(1)\n"
+        )
+        src = os.path.dirname(os.path.dirname(twobridge.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            x for x in (src, env.get("PYTHONPATH")) if x)
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_degree_zero_modulus_is_the_zero_ring(self):
+        ring = ResidueRing(GPoly.one())
+        assert (ring.u * ring.u - 2).poly() == GPoly.zero()
