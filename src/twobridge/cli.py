@@ -80,6 +80,8 @@ def _pick_root(roots, spec):
         z = mp.mpc(complex(spec.replace("i", "j")))
     except ValueError:
         raise DescriptorError("cannot parse --root %r" % spec)
+    if not mp.isfinite(z):
+        raise DescriptorError("--root anchor %r is not finite" % spec)
     return min(roots, key=lambda r: abs(r - z))
 
 
@@ -222,7 +224,7 @@ def cmd_ors(args):
 def cmd_census(args):
     records, edges = epi.census_build(
         args.max_alpha, out=args.out, geometry=not args.no_geometry,
-        precision=args.precision, jobs=args.jobs)
+        precision=args.precision)
     doc = {"records": len(records), "edges": len(edges),
            "out": args.out}
     _emit(args, doc, ["%d records, %d edges%s" %
@@ -279,7 +281,6 @@ def build_parser():
     p = sub.add_parser("census")
     p.add_argument("--max-alpha", type=int, required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--no-geometry", action="store_true")
     p.set_defaults(fn=cmd_census)
     return ap

@@ -28,6 +28,8 @@ import json
 import math
 import os
 
+import mpmath as mp
+
 from .conway import ConwayWord, Fraction, canonical_word, slope, \
     transform_word, word_of
 from .coloring import (
@@ -38,6 +40,8 @@ from .coloring import (
     rep_polynomial,
     rep_poly_pair,
 )
+from .geometry import arc_vectors_at_root, complex_volume, cusp_shape, \
+    find_roots, region_coloring, root_pairs
 from .polys import divides, exact_divide, format_poly, \
     gauss_divides, int_value, poly_to_json
 from . import riley as _riley
@@ -262,21 +266,18 @@ def build_record(frac: Fraction, geometry: bool = True, precision: int = 128):
         s = _riley.split_polynomial(P, precision=max(precision, 192))
         rec["splitting"] = {"g": poly_to_json(s.g), "g_hat": poly_to_json(s.g_hat)}
     if geometry:
-        from . import geometry as G
-        import mpmath as mp
-
         with mp.workprec(precision):
-            roots = G.find_roots(P, precision=precision)
+            roots = find_roots(P, precision=precision)
             nstr = lambda x: mp.nstr(x, 17)
             rec["roots"] = [{"re": nstr(mp.re(r)), "im": nstr(mp.im(r))}
                             for r in roots]
             if frac.is_knot:
                 reps = []
-                for r in G.root_pairs(roots[P.strip_zero_roots()[1]:]):
-                    rep = G.arc_vectors_at_root(word, r, precision=precision)
-                    data = G.region_coloring(rep)
-                    c = G.cusp_shape(data)
-                    v = G.complex_volume(data)
+                for r in root_pairs(roots[P.strip_zero_roots()[1]:]):
+                    rep = arc_vectors_at_root(word, r, precision=precision)
+                    data = region_coloring(rep)
+                    c = cusp_shape(data)
+                    v = complex_volume(data)
                     reps.append({
                         "root": {"re": nstr(mp.re(r)), "im": nstr(mp.im(r))},
                         "cusp_shape": {"re": nstr(mp.re(c)), "im": nstr(mp.im(c))},
@@ -287,49 +288,22 @@ def build_record(frac: Fraction, geometry: bool = True, precision: int = 128):
 
 
 def census_build(max_alpha: int, out=None, geometry: bool = True,
-                 precision: int = 128, jobs: int = 1):
+                 precision: int = 128):
     """Build records for every class with alpha <= max_alpha plus the
     divisibility edges (divisibility_edges: each pair is value-screened at
-    t = 2, 3, 5 before exact_divide decides).  Writes JSONL to `out`
-    (appending idempotently, keyed by (alpha, beta)) when given; returns
-    (records, edges).
+    t = 2, 3, 5 before exact_divide decides); returns (records, edges).
 
-    A record already in `out` is reused when it was built with the same
-    geometry flag and precision; only the other classes are built, in
-    `jobs` worker processes when jobs > 1."""
+    When `out` is given the run is written to it as JSONL, records then
+    edges, replacing whatever the file held."""
     if max_alpha < 3:
         raise EpiError("max_alpha must be >= 3")
-    if jobs < 1:
-        raise EpiError("jobs must be >= 1")
     if out is not None and not os.path.isdir(os.path.dirname(out) or "."):
         raise EpiError("cannot write %s: no such directory" % out)
     if out is not None and os.path.isdir(out):
         raise EpiError("cannot write %s: it is a directory" % out)
     reps = class_representatives(max_alpha)
-    cached = {}
-    if out is not None:
-        try:
-            with open(out) as fh:
-                for line in fh:
-                    obj = json.loads(line)
-                    if obj.get("geometry") == geometry and \
-                            obj.get("precision_bits") == precision:
-                        cached[(obj["alpha"], obj["beta"])] = obj
-        except FileNotFoundError:
-            pass
-    todo = [(f.alpha, f.beta, geometry, precision) for f in reps
-            if (f.alpha, f.beta) not in cached]
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            built = list(ex.map(_record_worker, todo))
-    else:
-        built = [_record_worker(args) for args in todo]
-    for rec in built:
-        cached[(rec["alpha"], rec["beta"])] = rec
-    records = [cached[(f.alpha, f.beta)] for f in reps]
-
+    records = [build_record(f, geometry=geometry, precision=precision)
+               for f in reps]
     edges = divisibility_edges(reps)
     if out is not None:
         with open(out, "w") as fh:
@@ -377,9 +351,3 @@ def divisibility_edges(fracs):
                     })
                     break
     return edges
-
-
-def _record_worker(args):
-    alpha, beta, geometry, precision = args
-    return build_record(Fraction(alpha, beta), geometry=geometry,
-                        precision=precision)

@@ -540,8 +540,8 @@ def _vec_gap(x, y):
     return max(abs(x[0] - y[0]), abs(x[1] - y[1]))
 
 
-def arc_vectors_at_root(word: ConwayWord, r, precision: int = 256,
-                        orientation=None) -> ParabolicRep:
+def arc_vectors_at_root(word: ConwayWord, r,
+                        precision: int = 256) -> ParabolicRep:
     """Numeric coloring vectors of every strand piece at u = r (r != 0).
 
     The initial pair is a = (1,0), b = (0,r); the closure must hold within
@@ -550,7 +550,7 @@ def arc_vectors_at_root(word: ConwayWord, r, precision: int = 256,
     """
     if r == 0:
         raise GeometryError("r = 0 is abelian: no geometric content")
-    plan = plan_plat(word, orientation)
+    plan = plan_plat(word)
     with mp.workprec(precision):
         rr = mp.mpc(r)
         scale = max(1, abs(rr)) ** max(1, len(word.blocks))
@@ -733,17 +733,17 @@ def _potential_terms(wa, wb, wc, wd):
     return W, grad
 
 
-def complex_volume(data: RegionData, reduce: bool = True):
+def complex_volume(data: RegionData):
     """-i * W0 with W0 = W - sum_k (w_k dW/dw_k) Log w_k.
 
     The imaginary part (the Chern-Simons part) is well defined mod pi^2 and
-    is reduced into [0, pi^2) when reduce is True."""
+    is reduced into [0, pi^2)."""
     with mp.workprec(data.rep.precision):
         W0, grad = _potential(data)
         for reg, gval in grad.items():
             W0 -= gval * mp.log(data.w[reg])
         vol = W0 / mp.mpc(0, 1)
-        return volume_reduce(vol) if reduce else vol
+        return volume_reduce(vol)
 
 
 def volume_reduce(v):
@@ -760,13 +760,17 @@ def volume_reduce(v):
     return mp.mpc(mp.re(v), im)
 
 
-def volumes_agree(v1, v2, tol=1e-6) -> bool:
-    """Equal real parts; imaginary parts equal mod pi^2 (circular distance)."""
+_VOLUME_TOL = 1e-6
+
+
+def volumes_agree(v1, v2) -> bool:
+    """Equal real parts; imaginary parts equal mod pi^2 (circular distance),
+    both within _VOLUME_TOL."""
     pi2 = float(mp.pi ** 2)
-    if abs(mp.re(v1) - mp.re(v2)) > tol:
+    if abs(mp.re(v1) - mp.re(v2)) > _VOLUME_TOL:
         return False
     d = (float(mp.im(v1)) - float(mp.im(v2))) % pi2
-    return min(d, pi2 - d) < tol
+    return min(d, pi2 - d) < _VOLUME_TOL
 
 
 # ---------------------------------------------------------------------------

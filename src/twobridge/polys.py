@@ -655,13 +655,16 @@ class PolyMatrix2:
         return result
 
 
-def sl2_power(M, n: int, numeric_tol: float = 1e-9):
+_SL2_DET_TOL = 1e-9
+
+
+def sl2_power(M, n: int):
     """M^n for unimodular M via the trace recursion
     M^n = p_n(t) M - p_{n-1}(t) I with t = tr M.
 
     Accepts a PolyMatrix2 (exact; det must equal 1) or a 2x2 numeric
     matrix given as ((a,b),(c,d)) of complex values (det within
-    numeric_tol of 1).  Returns the same kind.
+    _SL2_DET_TOL of 1).  Returns the same kind.
     """
     if isinstance(M, PolyMatrix2):
         if M.det() != _ONE:
@@ -675,7 +678,7 @@ def sl2_power(M, n: int, numeric_tol: float = 1e-9):
         )
     (a, b), (c, d) = M
     det = a * d - b * c
-    if abs(det - 1) > numeric_tol:
+    if abs(det - 1) > _SL2_DET_TOL:
         raise ValueError("det != 1 within tolerance")
     pn1, pn, _ = p_window(a + d, n)
     return ((pn * a - pn1, pn * b), (pn * c, pn * d - pn1))

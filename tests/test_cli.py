@@ -45,6 +45,14 @@ class TestRootIndex:
         assert rc == 0
         assert by_index == by_anchor
 
+    @pytest.mark.parametrize("spec", ["nan", "inf", "1e999"])
+    def test_non_finite_anchor(self, capsys, spec):
+        # an anchor with no finite distance to any root picks none
+        rc, out, err = run(capsys, "cusp", "2/5", "--root", spec)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error:")
+
     @pytest.mark.parametrize("argv", [
         ("reps", "1/2", "--root", "0"),
         ("volume", "1/2", "--root", "0.5"),
@@ -154,14 +162,6 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error:")
         assert list(tmp_path.iterdir()) == []
-
-    @pytest.mark.parametrize("jobs", ["0", "-2"])
-    def test_census_jobs_below_1(self, capsys, jobs):
-        rc, out, err = run(capsys, "census", "--max-alpha", "5",
-                           "--jobs", jobs)
-        assert rc == 2
-        assert out == ""
-        assert "jobs" in err
 
     def test_numeric_failure_exits_3(self, capsys):
         # P/u of 1/51 has 25 root pairs, over the splitting's limit

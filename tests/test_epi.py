@@ -1,4 +1,3 @@
-import concurrent.futures
 import itertools
 import json
 import math
@@ -317,43 +316,20 @@ class TestCensus:
             stored = [json.loads(l) for l in fh]
         assert {r["precision_bits"] for r in stored if "alpha" in r} == {192}
 
-    def test_parallel_builds_only_misses(self, tmp_path, monkeypatch):
+    def test_census_over_an_existing_file_replaces_it(self, tmp_path):
+        # a non-JSON line, a stub record for a class of the run and the
+        # records of a larger run are all replaced by the run
+        fresh = tmp_path / "fresh.jsonl"
+        expect = census_build(7, out=str(fresh), geometry=False)
+        larger = tmp_path / "larger.jsonl"
+        census_build(9, out=str(larger), geometry=False)
         out = tmp_path / "census.jsonl"
-        census_build(7, out=str(out), geometry=False)
-        full = out.read_text()
-        lines = full.splitlines(True)
-        out.write_text("".join(
-            l for l in lines
-            if (json.loads(l).get("alpha"), json.loads(l).get("beta")) != (5, 2)))
-        sent = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                items = list(items)
-                sent.extend(items)
-                return map(fn, items)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            InlinePool)
-        census_build(7, out=str(out), geometry=False, jobs=2)
-        assert sent == [(5, 2, False, 128)]
-        assert out.read_text() == full
-
-    def test_parallel_matches_serial(self, tmp_path):
-        serial, serial_edges = census_build(5, geometry=False)
-        out = str(tmp_path / "census.jsonl")
-        census_build(4, out=out, geometry=False)
-        records, edges = census_build(5, out=out, geometry=False, jobs=2)
-        assert records == serial and edges == serial_edges
+        stub = {"alpha": 3, "beta": 1, "geometry": False,
+                "precision_bits": 128}
+        out.write_text("not json\n" + json.dumps(stub) + "\n"
+                       + larger.read_text())
+        assert census_build(7, out=str(out), geometry=False) == expect
+        assert out.read_text() == fresh.read_text()
 
     def test_record_geometry(self):
         rec = build_record(Fraction(5, 2), geometry=True, precision=128)
