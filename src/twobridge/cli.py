@@ -144,7 +144,7 @@ def cmd_split(args):
     if not frac.is_knot:
         raise DescriptorError("split applies to knots only")
     P = rep_polynomial(frac)
-    s = riley.split_polynomial(P, frac.is_knot, precision=args.precision)
+    s = riley.split_polynomial(P, precision=args.precision)
     doc = {"g": format_poly(s.g), "g_hat": format_poly(s.g_hat)}
     _emit(args, doc, ["g    = %s" % doc["g"], "ghat = %s" % doc["g_hat"]])
 

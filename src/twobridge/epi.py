@@ -237,10 +237,13 @@ def class_representatives(max_alpha: int):
     return reps
 
 
-def build_record(frac: Fraction, geometry: bool = True, precision: int = 128):
+def build_record(frac: Fraction, polys, geometry: bool = True,
+                 precision: int = 128):
     """One census record: polynomials, bridge certificate, splitting,
     roots and, for knots, one representation per {r, -r} pair of nonzero
-    roots (geometry.root_pairs): both members give the same one."""
+    roots (geometry.root_pairs): both members give the same one.  P (a
+    link's pair) is the first entry (two) of `polys`, the class's
+    rep_poly_set; a knot's nonzero roots are those its split read."""
     word = canonical_word(frac)
     rec = {
         "schema": CENSUS_SCHEMA,
@@ -252,12 +255,11 @@ def build_record(frac: Fraction, geometry: bool = True, precision: int = 128):
         "geometry": geometry,
         "precision_bits": precision,
     }
-    pair = () if frac.is_knot else rep_poly_pair(frac)
-    P = pair[0] if pair else rep_polynomial(frac)
+    P = polys[0][1]
     rec["rep_poly"] = poly_to_json(P)
     rec["rep_poly_text"] = format_poly(P)
-    if pair:
-        rec["rep_poly_pair"] = [poly_to_json(p) for p in pair]
+    if not frac.is_knot:
+        rec["rep_poly_pair"] = [poly_to_json(p) for _, p in polys[:2]]
     R = _riley.riley_polynomial(frac)
     rec["riley_poly"] = poly_to_json(R)
     proof = _riley.verify_bridge(P, R, frac.is_knot, frac)
@@ -267,13 +269,14 @@ def build_record(frac: Fraction, geometry: bool = True, precision: int = 128):
         rec["splitting"] = {"g": poly_to_json(s.g), "g_hat": poly_to_json(s.g_hat)}
     if geometry:
         with mp.workprec(precision):
-            roots = find_roots(P, precision=precision)
+            roots = ([mp.mpc(0)] + s.roots if frac.is_knot
+                     else find_roots(P, precision=precision))
             nstr = lambda x: mp.nstr(x, 17)
             rec["roots"] = [{"re": nstr(mp.re(r)), "im": nstr(mp.im(r))}
                             for r in roots]
             if frac.is_knot:
                 reps = []
-                for r in root_pairs(roots[P.strip_zero_roots()[1]:]):
+                for r in root_pairs(s.roots):
                     rep = arc_vectors_at_root(word, r, precision=precision)
                     data = region_coloring(rep)
                     c = cusp_shape(data)
@@ -291,26 +294,32 @@ def census_build(max_alpha: int, out=None, geometry: bool = True,
                  precision: int = 128):
     """Build records for every class with alpha <= max_alpha plus the
     divisibility edges (divisibility_edges: each pair is value-screened at
-    t = 2, 3, 5 before exact_divide decides); returns (records, edges).
+    t = 2, 3, 5 before exact_divide decides), both read from each class's
+    rep_poly_set colored once; returns (records, edges).
 
     When `out` is given the run is written to it as JSONL, records then
     edges, replacing whatever the file held."""
     if max_alpha < 3:
         raise EpiError("max_alpha must be >= 3")
+    if out == "":
+        raise EpiError("cannot write '': empty path")
     if out is not None and not os.path.isdir(os.path.dirname(out) or "."):
         raise EpiError("cannot write %s: no such directory" % out)
     if out is not None and os.path.isdir(out):
         raise EpiError("cannot write %s: it is a directory" % out)
-    reps = class_representatives(max_alpha)
-    records = [build_record(f, geometry=geometry, precision=precision)
-               for f in reps]
-    edges = divisibility_edges(reps)
+    sets = {f: rep_poly_set(f) for f in class_representatives(max_alpha)}
+    records = [build_record(f, polys, geometry=geometry, precision=precision)
+               for f, polys in sets.items()]
+    edges = divisibility_edges(sets)
     if out is not None:
-        with open(out, "w") as fh:
-            for rec in records:
-                fh.write(json.dumps(rec) + "\n")
-            for e in edges:
-                fh.write(json.dumps(e) + "\n")
+        try:
+            with open(out, "w") as fh:
+                for rec in records:
+                    fh.write(json.dumps(rec) + "\n")
+                for e in edges:
+                    fh.write(json.dumps(e) + "\n")
+        except OSError as e:
+            raise EpiError("cannot write %s: %s" % (out, e.strerror or e))
     return records, edges
 
 
@@ -318,21 +327,20 @@ def census_build(max_alpha: int, out=None, geometry: bool = True,
 _SCREEN_POINTS = (2, 3, 5)
 
 
-def divisibility_edges(fracs):
-    """The edges K1 -> K2 among the classes fracs (K1 != K2, alpha(K2) <=
-    alpha(K1)): P of K2 divides a polynomial of K1's rep_poly_set, the
-    first such in set order being the witness.
+def divisibility_edges(sets):
+    """The edges K1 -> K2 among the classes keying `sets` (class ->
+    rep_poly_set; K1 != K2, alpha(K2) <= alpha(K1)): P of K2 divides a
+    polynomial of K1's set, the first such in set order being the witness.
 
     Each pair is value-screened first: deg P2 <= deg P1 and P2(t) | P1(t)
     in Z[i] at t = 2, 3, 5, which every exact divisor passes, with the
     values computed once per class.  exact_divide alone accepts an edge."""
-    sets = {}
-    for f in fracs:
-        sets[f] = [(name, p, [int_value(p, t) for t in _SCREEN_POINTS])
-                   for name, p in rep_poly_set(f)]
+    sets = {f: [(name, p, [int_value(p, t) for t in _SCREEN_POINTS])
+                for name, p in polys]
+            for f, polys in sets.items()}
     edges = []
-    for f1 in fracs:
-        for f2 in fracs:
+    for f1 in sets:
+        for f2 in sets:
             if f1 == f2 or f2.alpha > f1.alpha:
                 continue
             # each set's first entry is P itself

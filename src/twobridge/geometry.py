@@ -397,6 +397,7 @@ class _Trace:
     pieces: dict        # piece_id -> (vector, direction)
     n_regions: int
     closure_residual: float
+    entering: list      # the vector pair entering each block, in plan order
 
 
 @dataclasses.dataclass
@@ -460,7 +461,8 @@ _LABELS = {
 
 def _numeric_trace(plan: PlatPlan, r, closure_tol) -> _Trace:
     """Propagate numeric vectors crossing by crossing, recording pieces,
-    labelled region quadruples and the plat closure residual."""
+    labelled region quadruples, the pair entering each block and the plat
+    closure residual."""
     a = (mp.mpc(1), mp.mpc(0))
     b = (mp.mpc(0), mp.mpc(r))
     vecs = [a, a, b, b]
@@ -473,9 +475,11 @@ def _numeric_trace(plan: PlatPlan, r, closure_tol) -> _Trace:
     next_region = 3
     adjacency = [(zone[pos], zone[pos + 1], pos) for pos in range(4)]
     crossings = []
+    entering = []
     for bp in plan.blocks:
         L = bp.left
         z = L + 1  # zone between positions L and L+1
+        entering.append((vecs[L], vecs[L + 1]))
         for s in range(bp.count):
             _cross(vecs, bp, s)
             sign = bp.hand * dirs[L] * dirs[L + 1]
@@ -529,6 +533,7 @@ def _numeric_trace(plan: PlatPlan, r, closure_tol) -> _Trace:
         pieces=pieces,
         n_regions=len(used),
         closure_residual=float(resid),
+        entering=entering,
     )
 
 
@@ -784,28 +789,11 @@ def meridian_matrix(v):
     return ((1 - v1 * v2, v1 * v1), (-v2 * v2, 1 + v1 * v2))
 
 
-def _mat_mul(A, B):
-    return (
-        (A[0][0] * B[0][0] + A[0][1] * B[1][0], A[0][0] * B[0][1] + A[0][1] * B[1][1]),
-        (A[1][0] * B[0][0] + A[1][1] * B[1][0], A[1][0] * B[0][1] + A[1][1] * B[1][1]),
-    )
-
-
 def block_holonomy_traces(rep: ParabolicRep):
     """tr(A_i B_i) for the pair entering each block; equals 2 - u_i(r)^2."""
-    plan = rep.plan
     with mp.workprec(rep.precision):
-        a = (mp.mpc(1), mp.mpc(0))
-        b = (mp.mpc(0), rep.root)
-        # replay vectors block by block to capture entering pairs
-        vecs = [a, a, b, b]
         out = []
-        for bp in plan.blocks:
-            L = bp.left
-            A = meridian_matrix(vecs[L])
-            B = meridian_matrix(vecs[L + 1])
-            M = _mat_mul(A, B)
-            out.append(M[0][0] + M[1][1])
-            for s in range(bp.count):
-                _cross(vecs, bp, s)
+        for x, y in rep.trace.entering:
+            A, B = meridian_matrix(x), meridian_matrix(y)
+            out.append(sum(A[i][j] * B[j][i] for i in (0, 1) for j in (0, 1)))
         return out

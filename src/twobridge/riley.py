@@ -114,8 +114,11 @@ def verify_bridge(P: GPoly, R: GPoly, is_knot: bool, frac=None) -> BridgeProof:
 
 @dataclasses.dataclass(frozen=True)
 class Splitting:
+    """P = unit * u * g * g_hat, with the nonzero roots of P the split was
+    read from, in find_roots order (not part of equality)."""
     g: GPoly
     g_hat: GPoly
+    roots: list = dataclasses.field(compare=False)
 
 
 def hat(g: GPoly) -> GPoly:
@@ -127,19 +130,17 @@ def hat(g: GPoly) -> GPoly:
 _MAX_PAIRS = 24   # 2^k sign choices are screened for k root pairs
 
 
-def split_polynomial(P: GPoly, is_knot: bool = True,
-                     precision: int = 256) -> Splitting:
+def split_polynomial(P: GPoly, precision: int = 256) -> Splitting:
     """Find integer g with P = unit * u * g * ghat, ghat != g.
 
     Roots of P/u come in +-r pairs; each choice of one root per pair gives a
     candidate monic g.  Candidates are screened numerically (the root sum
     must be close to an integer, then all coefficients), and a surviving
-    candidate is accepted only on an exact-division certificate.  Raises on
-    links (the decomposition theorem is knot-only) or if no integral choice
-    is found at this precision.
+    candidate is accepted only on an exact-division certificate.  The
+    roots of P/u are returned with the split as Splitting.roots.  Raises on
+    a link's P (P/u has odd degree: the decomposition theorem is knot-only)
+    or if no integral choice is found at this precision.
     """
-    if not is_knot:
-        raise RileyError("splitting applies to knots only")
     from .geometry import find_roots, root_pairs  # geometry pulls no riley
 
     Q = P.strip_power(1)
@@ -183,7 +184,7 @@ def split_polynomial(P: GPoly, is_knot: bool = True,
                 # of the pair, read from the top coefficient down
                 if _lex_key(gh) > _lex_key(g):
                     g, gh = gh, g
-                return Splitting(g, gh)
+                return Splitting(g, gh, roots)
     raise RileyError(
         "no integral splitting found at %d bits; retry at higher precision"
         % precision

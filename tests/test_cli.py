@@ -163,6 +163,18 @@ class TestExitCodes:
         assert err.startswith("error:")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("name", ["", "x" * 300],
+                             ids=["empty", "name_too_long"])
+    def test_census_out_that_cannot_be_written(self, capsys, tmp_path, name):
+        # an empty path, or a file name too long for the filesystem
+        out_path = str(tmp_path / name) if name else name
+        rc, out, err = run(capsys, "census", "--max-alpha", "3",
+                           "--out", out_path)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: cannot write")
+        assert list(tmp_path.iterdir()) == []
+
     def test_numeric_failure_exits_3(self, capsys):
         # P/u of 1/51 has 25 root pairs, over the splitting's limit
         rc, out, err = run(capsys, "split", "1/51")

@@ -111,7 +111,7 @@ class TestDivisibility:
                                      name, f1.is_knot and f2.is_knot))
                         break
         got = [(e["from"], e["to"], e["witness"], e["certified_epimorphism"])
-               for e in divisibility_edges(fracs)]
+               for e in divisibility_edges(sets)]
         assert got == want
         assert len(want) > 100
 
@@ -299,7 +299,7 @@ class TestCensus:
         assert bykey[(3, 1)]["rep_poly_text"] == "u^3 - u"
         assert bykey[(3, 1)]["mirror_of"] == [3, 2]
 
-    def test_cache_keyed_by_geometry(self, tmp_path):
+    def test_geometry_run_over_exact_run_has_geometry(self, tmp_path):
         out = str(tmp_path / "census.jsonl")
         census_build(5, out=out, geometry=False)
         records, _ = census_build(5, out=out, geometry=True)
@@ -307,7 +307,7 @@ class TestCensus:
         assert knots and all(r["representations"] for r in knots)
         assert all(r["geometry"] for r in records)
 
-    def test_cache_keyed_by_precision(self, tmp_path):
+    def test_run_at_new_precision_records_it(self, tmp_path):
         out = str(tmp_path / "census.jsonl")
         census_build(5, out=out, geometry=False, precision=128)
         records, _ = census_build(5, out=out, geometry=False, precision=192)
@@ -332,10 +332,31 @@ class TestCensus:
         assert out.read_text() == fresh.read_text()
 
     def test_record_geometry(self):
-        rec = build_record(Fraction(5, 2), geometry=True, precision=128)
+        rec = build_record(Fraction(5, 2), rep_poly_set(Fraction(5, 2)),
+                           geometry=True, precision=128)
         assert rec["representations"]
         vol = rec["representations"][0]["complex_volume"]
         assert abs(abs(float(vol["re"])) - 2.029883212819) < 1e-6
+
+    def test_each_class_colored_and_rooted_once(self, monkeypatch):
+        # the census colors each class's rep_poly_set once, for records and
+        # edges alike, and a knot's representations reuse its split's roots
+        from twobridge import coloring, geometry
+        calls = {"color": 0, "roots": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(coloring, "color_plan",
+                            counted("color", coloring.color_plan))
+        roots = counted("roots", geometry.find_roots)
+        monkeypatch.setattr(geometry, "find_roots", roots)
+        monkeypatch.setattr(epi, "find_roots", roots)
+        census_build(11, geometry=True)
+        assert calls == {"color": 82, "roots": 30}
 
     def test_one_representation_per_root_pair(self):
         # r and -r give the same representation: a knot has one per pair

@@ -154,7 +154,7 @@ class TestSplitting:
 
     def test_links_rejected(self):
         with pytest.raises(RileyError):
-            split_polynomial(P("u^4-2*u^2"), is_knot=False)
+            split_polynomial(P("u^4-2*u^2"))
 
     def test_certificate_exactness(self):
         for frac in coprime(21, parity="odd"):
