@@ -17,9 +17,9 @@ from .coloring import (
     torus_rep_poly,
     ui_sequence,
 )
-from .polys import GaussInt, GPoly, PolyMatrix2, U, cheb, eval_complex, \
-    exact_divide, even_part_as_y, format_poly, parse_poly, sign_normalize, \
-    sl2_power, substitute_iu
+from .polys import GaussInt, GPoly, PolyMatrix2, U, cheb, exact_divide, \
+    even_part_as_y, format_poly, parse_poly, sign_normalize, sl2_power, \
+    substitute_iu
 from .riley import (
     Splitting,
     epsilon_sequence,

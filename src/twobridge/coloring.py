@@ -11,11 +11,11 @@ word this wiring reproduces the paper's even-expansion block graph:
     a_{2k+1,0} = b_{2k,f},  b_{2k+1,0} = b_{2k-1,f},
     a_{2k+2,0} = a_{2k,f},  b_{2k+2,0} = a_{2k+1,f}.
 
-Vectors are GPoly pairs (f, g) in the basis {a, b}, so the symplectic
-determinant of two vectors is (f1 g2 - g1 f2) * u with u = <a,b>.  With a
-monic modulus m they are pairs of Residues of Z[u]/(m) instead (see
-polys.ResidueRing): the same code runs on both, and every product is
-reduced mod m as it is formed.
+Vectors are GPoly pairs x = (f1, g1), y = (f2, g2) in the basis {a, b},
+so their symplectic determinant is det(x, y) * u = (f1 g2 - g1 f2) * u
+with u = <a,b>.  With a monic modulus m they are pairs of Residues of
+Z[u]/(m) instead (see polys.ResidueRing): the same code runs on both, and
+every product is reduced mod m as it is formed.
 
 At a crossing the entering pair (x, y) becomes (x, y)X(d*u_i) where
 X(u) = [[0,-1],[1,-u]] and d is +1 or -1 according to the traced strand
@@ -26,6 +26,11 @@ pair therefore keeps d constant over the block while an anti-parallel
 pair alternates it (the strands trade places at every crossing).
 Left-handed blocks apply the inverse matrices.  Over a whole block this
 collapses to Chebyshev closed forms in t = -2 - u_i^2 (block_transfer).
+
+det, x_power and apply_pair are the one statement of the form, of X(v)^k
+and of the transfer of a strand pair.  They take any ring type, so the
+numeric walk of geometry applies them crossing by crossing to mpmath
+vectors at a root.
 
 There is one engine: color_plan propagates the vectors over a plan of any
 word, over Z[u] or in Z[u]/(m), and forms both closure determinants.  In
@@ -53,10 +58,15 @@ class ColoringError(ValueError):
     pass
 
 
+def det(x, y):
+    """The symplectic form x[0] y[1] - x[1] y[0] of two coordinate pairs;
+    of two vectors in the basis {a, b} it is <x, y> / u."""
+    return x[0] * y[1] - x[1] * y[0]
+
+
 def crossing_matrix(u_block: GPoly, sign: int) -> PolyMatrix2:
     """X(sign * u_block) = [[0, -1], [1, -sign*u_block]]; det = 1."""
-    ub = u_block if sign > 0 else -u_block
-    return PolyMatrix2(_ZERO, -_ONE, _ONE, -ub)
+    return x_power(u_block if sign > 0 else -u_block, 1)
 
 
 # -- orientation tracing ---------------------------------------------------
@@ -165,9 +175,9 @@ def plan_plat(word: ConwayWord, orientation=None) -> PlatPlan:
 # -- block transfer matrices ------------------------------------------------
 
 
-def _x_power(v, k: int) -> PolyMatrix2:
+def x_power(v, k: int) -> PolyMatrix2:
     """X(v)^k = [[-p_{k-1}, -p_k], [p_k, p_{k+1}]] evaluated at -v, for v a
-    GPoly or a Residue."""
+    GPoly, a Residue or a number."""
     p0, p1, p2 = p_window(-v, k)
     return PolyMatrix2(-p0, -p1, p1, p2)
 
@@ -191,18 +201,20 @@ def block_transfer(u_i, plan: BlockPlan) -> PolyMatrix2:
     if c == 0:
         return PolyMatrix2.identity()
     if plan.parallel:
-        return _x_power(u_i if b > 0 else -u_i, e * c)
+        return x_power(u_i if b > 0 else -u_i, e * c)
     pairs, leftover = divmod(c, 2)
     # product of crossings s = 0..c-1 of X(b(-1)^s u)^e; consecutive pairs
     # collapse to (X(bu)X(-bu))^e-pattern powers
     T = _pair_form(u_i, e * pairs, first_plus=(b * e > 0))
     if leftover:
-        d_last = b  # c odd: (-1)^(c-1) = +1
-        T = T * _x_power(d_last * u_i if d_last > 0 else -u_i, e)
+        # c odd: the last crossing's sign b (-1)^(c-1) is b
+        T = T * x_power(u_i if b > 0 else -u_i, e)
     return T
 
 
-def _apply_pair(vecs, left: int, T: PolyMatrix2):
+def apply_pair(vecs, left: int, T: PolyMatrix2):
+    """(x, y) <- (x, y) T on the vectors at positions left, left + 1, in
+    place; entries of any ring type that multiplies the vectors'."""
     fL, gL = vecs[left]
     fR, gR = vecs[left + 1]
     vecs[left] = (fL * T.a11 + fR * T.a21, gL * T.a11 + gR * T.a21)
@@ -247,17 +259,15 @@ def color_plan(plan: PlatPlan, modulus=None):
     ui = []
     for bp in plan.blocks:
         L = bp.left
-        fL, gL = vecs[L]
-        fR, gR = vecs[L + 1]
-        u_i = (fL * gR - gL * fR) * u
+        u_i = det(vecs[L], vecs[L + 1]) * u
         ui.append(u_i)
         if bp.count:
-            _apply_pair(vecs, L, block_transfer(u_i, bp))
+            apply_pair(vecs, L, block_transfer(u_i, bp))
 
     cap = bottom_caps(plan.k)
     y, z = vecs[1], vecs[cap[1]]
     raw = vecs[cap[3]][0] * u   # <x, b> = f * u for x = (f, g)
-    companion = (y[0] * z[1] - y[1] * z[0]) * u
+    companion = det(y, z) * u
     if ring is not None:
         ui = [x.poly() for x in ui]
         vecs = [(f.poly(), g.poly()) for f, g in vecs]

@@ -197,11 +197,9 @@ def even_expansion(frac: Fraction) -> ConwayWord:
 
 
 def transform_word(word: ConwayWord, kind: str) -> ConwayWord:
-    """mirror, upside_down, or reverse_orientation_marker.
+    """mirror or upside_down.
 
-    upside_down reverses the block order and scales by (-1)^(k+1);
-    reverse_orientation_marker returns the word unchanged, since a word's
-    blocks do not depend on the orientation of its components.
+    upside_down reverses the block order and scales by (-1)^(k+1).
     """
     if kind == "mirror":
         return ConwayWord(tuple(-n for n in word.blocks))
@@ -209,8 +207,6 @@ def transform_word(word: ConwayWord, kind: str) -> ConwayWord:
         k = len(word.blocks)
         s = 1 if k % 2 == 1 else -1
         return ConwayWord(tuple(s * n for n in reversed(word.blocks)))
-    if kind == "reverse_orientation_marker":
-        return word
     raise DescriptorError("unknown transform kind %r" % kind)
 
 

@@ -11,14 +11,17 @@ condition number, that stops once a step falls below half the working
 precision.  A residual gate then checks every root.  The nonzero roots of
 a knot's rep-polynomial come in pairs {r, -r}, since P = +-u R(u^2), and
 both members of a pair give the same representation; root_pairs is the
-one rule that keeps one root per pair.  Arc vectors evaluate the plat
-propagation numerically at a root, region vectors are obtained by
-propagating a generic base vector across strand pieces with the
-symplectic-quandle action, and the cusp shape and complex volume are
-crossing state sums in the region variables w_j.  The volume potential
-of a crossing is one formula: on the minus branch with labels
-(a, b, c, d) it is the negated potential of the other branch at
-(d, a, b, c), gradient included.
+one rule that keeps one root per pair.  Every polynomial value, exact
+or numeric, comes from polys.horner.  Arc vectors evaluate the plat
+propagation numerically at a root: each crossing applies coloring's
+x_power and apply_pair, the transfer the exact engine uses, to mpmath
+vectors, with u = coloring.det of the entering pair.  Region vectors are
+obtained by propagating a generic base vector across strand pieces with
+the symplectic-quandle action, written with the same det, and the cusp
+shape and complex volume are crossing state sums in the region variables
+w_j.  The volume potential of a crossing is one formula: on the minus
+branch with labels (a, b, c, d) it is the negated potential of the other
+branch at (d, a, b, c), gradient included.
 
 The complex volume sums five dilogarithms per crossing; they are the
 layer's main cost.  Li2 is computed by reduction and a series: |z| > 1 is
@@ -48,8 +51,9 @@ import random
 import mpmath as mp
 
 from .conway import ConwayWord
-from .polys import GPoly, eval_poly
-from .coloring import BlockPlan, PlatPlan, bottom_caps, plan_plat
+from .polys import GPoly, eval_poly, horner
+from .coloring import PlatPlan, apply_pair, bottom_caps, det, plan_plat, \
+    x_power
 
 __all__ = [
     "GeometryError",
@@ -149,14 +153,6 @@ def root_pairs(roots):
     return reps
 
 
-def _horner(cs, x):
-    """cs[0] + cs[1] x + ... + cs[-1] x^(len-1), in the number type of cs."""
-    acc = cs[-1]
-    for c in reversed(cs[:-1]):
-        acc = acc * x + c
-    return acc
-
-
 def _aberth_sweeps(coeffs, dcoeffs, z, tol, freeze=0):
     """Aberth-Ehrlich synchronous sweeps over a generic complex type, until
     no root moves by tol relative to max(1,|z|) in a sweep or the cap.
@@ -173,11 +169,11 @@ def _aberth_sweeps(coeffs, dcoeffs, z, tol, freeze=0):
         for j in range(n):
             if frozen[j]:
                 continue
-            pj = _horner(coeffs, z[j])
-            if freeze and abs(pj) <= freeze * _horner(abs_coeffs, abs(z[j])):
+            pj = horner(coeffs, z[j])
+            if freeze and abs(pj) <= freeze * horner(abs_coeffs, abs(z[j])):
                 frozen[j] = True
                 continue
-            dj = _horner(dcoeffs, z[j])
+            dj = horner(dcoeffs, z[j])
             if dj == 0:
                 z[j] = z[j] * (1 + tol) + tol
                 moved = 1.0
@@ -219,10 +215,10 @@ def _guard_bits(coeffs, dcoeffs, z, cap):
     worst = 1
     for r in z:
         m = abs(r)
-        d = abs(_horner(dcoeffs, r)) * max(1, m)
+        d = abs(horner(dcoeffs, r)) * max(1, m)
         if d == 0:
             return cap
-        worst = max(worst, _horner(abs_coeffs, m) / d)
+        worst = max(worst, horner(abs_coeffs, m) / d)
     if not worst < mp.ldexp(1, cap):
         return cap
     return int(mp.ceil(mp.log(worst, 2)))
@@ -290,10 +286,10 @@ def _aberth(q: GPoly, bits: int):
         stop = mp.ldexp(1, -((bits + 32) // 2 + 4))
         for j in range(n):
             for _ in range(steps):
-                dj = _horner(dcoeffs, z[j])
+                dj = horner(dcoeffs, z[j])
                 if dj == 0:
                     break
-                step = _horner(coeffs, z[j]) / dj
+                step = horner(coeffs, z[j]) / dj
                 z[j] = z[j] - step
                 if abs(step) <= stop * max(1, abs(z[j])):
                     break
@@ -304,8 +300,8 @@ def _aberth(q: GPoly, bits: int):
         for r in z:
             m = abs(r)
             limit = min(bound * max(mp.mpf(1), m) ** n,
-                        eps * _horner(abs_coeffs, m))
-            if abs(_horner(coeffs, r)) > limit:
+                        eps * horner(abs_coeffs, m))
+            if abs(horner(coeffs, r)) > limit:
                 raise GeometryError(
                     "root residual bound missed at %d bits" % bits
                 )
@@ -371,10 +367,9 @@ def _li2(z):
         n = 0
         while n < len(coeffs) and coeffs[n][1] - (n + 1) * lw2 <= wp:
             n += 1
-        acc = mp.mpc(0)
-        for c, _ in reversed(coeffs[:n]):
-            acc = (acc + c) * w2
-        series = w - w2 / 4 + w * acc
+        # sum_k c_k w2^(k+1) over the n terms kept
+        tail = horner([c for c, _ in coeffs[:n]], w2) * w2 if n else 0
+        series = w - w2 / 4 + w * tail
         result = const + sign * series
     return +result
 
@@ -404,11 +399,9 @@ class _Trace:
 class ParabolicRep:
     """Numeric arc coloring at a root r of the rep-polynomial."""
 
-    word: ConwayWord
     root: object
     precision: int
     arc_vectors: dict       # piece id -> (complex, complex)
-    plan: PlatPlan
     trace: _Trace
 
     @property
@@ -422,24 +415,6 @@ class RegionData:
     region_vectors: dict    # region id -> (complex, complex)
     w: dict                 # region id -> complex
     consistency_residual: float
-
-
-def _det(x, y):
-    return x[0] * y[1] - x[1] * y[0]
-
-
-def _cross(vecs, bp: BlockPlan, s: int):
-    """Apply crossing s of block bp to the numeric vectors in place:
-    (a', b') = (a, b) X(delta*u)^hand on the block's strand pair."""
-    L = bp.left
-    delta = bp.delta0 if bp.parallel else bp.delta0 * (-1) ** s
-    du = delta * _det(vecs[L], vecs[L + 1])
-    xL, xR = vecs[L], vecs[L + 1]
-    if bp.hand > 0:
-        vecs[L], vecs[L + 1] = xR, (-xL[0] - du * xR[0], -xL[1] - du * xR[1])
-    else:
-        # X(v)^-1 = [[-v, 1], [-1, 0]]
-        vecs[L], vecs[L + 1] = (-du * xL[0] - xR[0], -du * xL[1] - xR[1]), xL
 
 
 # The four regions around a crossing are labelled (a, b, c, d) in the frame
@@ -462,7 +437,9 @@ _LABELS = {
 def _numeric_trace(plan: PlatPlan, r, closure_tol) -> _Trace:
     """Propagate numeric vectors crossing by crossing, recording pieces,
     labelled region quadruples, the pair entering each block and the plat
-    closure residual."""
+    closure residual.  Crossing s of a block applies coloring's transfer
+    (x, y) <- (x, y) X(delta u)^hand, with u = det(x, y) and delta the
+    block's first sign, alternating with s when the pair is anti-parallel."""
     a = (mp.mpc(1), mp.mpc(0))
     b = (mp.mpc(0), mp.mpc(r))
     vecs = [a, a, b, b]
@@ -481,7 +458,9 @@ def _numeric_trace(plan: PlatPlan, r, closure_tol) -> _Trace:
         z = L + 1  # zone between positions L and L+1
         entering.append((vecs[L], vecs[L + 1]))
         for s in range(bp.count):
-            _cross(vecs, bp, s)
+            delta = bp.delta0 if bp.parallel else bp.delta0 * (-1) ** s
+            du = delta * det(vecs[L], vecs[L + 1])
+            apply_pair(vecs, L, x_power(du, bp.hand))
             sign = bp.hand * dirs[L] * dirs[L + 1]
             north = zone[z]
             south = next_region
@@ -567,11 +546,9 @@ def arc_vectors_at_root(word: ConwayWord, r,
                 % (trace.n_regions, count + 2)
             )
         return ParabolicRep(
-            word=word,
             root=rr,
             precision=precision,
             arc_vectors={pid: v for pid, (v, _) in trace.pieces.items()},
-            plan=plan,
             trace=trace,
         )
 
@@ -590,7 +567,7 @@ _REGION_RETRIES = 12
 
 
 def _quandle_step(beta, x, power):
-    t = _det(beta, x)
+    t = det(beta, x)
     if power < 0:
         t = -t
     return (beta[0] + t * x[0], beta[1] + t * x[1])
@@ -637,7 +614,7 @@ def region_coloring(rep: ParabolicRep, rule_sign: int = None,
                     "wrong side convention" % float(gap)
                 )
             p = _rand_vec(rng)
-            w = {reg: _det(p, v) for reg, v in vec.items()}
+            w = {reg: det(p, v) for reg, v in vec.items()}
             if _generic_enough(trace, w):
                 return RegionData(rep=rep, region_vectors=vec, w=w,
                                   consistency_residual=float(gap))

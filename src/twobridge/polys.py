@@ -10,6 +10,10 @@ Also provides the residue ring Z[u]/(m) of a monic integer polynomial m
 Chebyshev-style family p_n, f_n, v_n defined by the three-term recursion
 g_{n+1} = t*g_n - g_{n-1}, and SL(2) matrix powers expressed through that
 family.
+
+horner is the one Horner loop.  GPoly.compose, the exact integer values
+int_value, the mpmath values eval_poly and the root finder's float and
+mpmath sweeps in geometry all call it.
 """
 
 from __future__ import annotations
@@ -229,10 +233,10 @@ class GPoly:
 
     def compose(self, inner: "GPoly") -> "GPoly":
         """self(inner(u)) by Horner's scheme, exact."""
-        result = _ZERO
-        for k in range(self.degree, -1, -1):
-            result = result * inner + GPoly.monomial(0, (self._re[k], self._im[k]))
-        return result
+        if self.is_zero():
+            return self
+        return horner([GPoly([r], [m]) for r, m in zip(self._re, self._im)],
+                      inner)
 
     def scale_unit(self, unit_index: int) -> "GPoly":
         """Multiply all coefficients by i^unit_index."""
@@ -327,10 +331,9 @@ def divides(den: GPoly, num: GPoly) -> bool:
 
 def int_value(p: GPoly, t: int) -> tuple:
     """p(t) at an integer t, exactly, as a (re, im) pair."""
-    vr = vi = 0
-    for k in range(p.degree, -1, -1):
-        vr, vi = vr * t + p._re[k], vi * t + p._im[k]
-    return vr, vi
+    if p.is_zero():
+        return 0, 0
+    return horner(p._re, t), horner(p._im, t)
 
 
 def gauss_divides(a: tuple, b: tuple) -> bool:
@@ -468,23 +471,24 @@ class Residue:
     __rmul__ = __mul__
 
 
-# -- numeric evaluation -------------------------------------------------
+# -- evaluation ----------------------------------------------------------
+
+
+def horner(cs, x):
+    """cs[0] + cs[1] x + ... + cs[-1] x^(len-1) for a nonempty cs, in the
+    ring of cs and x: ints, floats, mpmath numbers or GPolys.  Every
+    polynomial value in the package, exact or numeric, is this loop."""
+    acc = cs[-1]
+    for c in reversed(cs[:-1]):
+        acc = acc * x + c
+    return acc
 
 
 def eval_poly(p: GPoly, z):
     """p(z) by Horner's scheme at the current mpmath precision."""
-    acc = mp.mpc(0)
-    for k in range(p.degree, -1, -1):
-        acc = acc * z + mp.mpc(p._re[k], p._im[k])
-    return acc
-
-
-def eval_complex(p: GPoly, z, precision: int = 53):
-    """Horner evaluation of p at a complex point, at `precision` working bits."""
-    if precision < 53:
-        raise ValueError("precision must be at least 53 bits")
-    with mp.workprec(precision):
-        return eval_poly(p, mp.mpc(z))
+    if p.is_zero():
+        return mp.mpc(0)
+    return horner([mp.mpc(r, m) for r, m in zip(p._re, p._im)], z)
 
 
 # -- substitutions and normal forms ---------------------------------------
@@ -612,7 +616,8 @@ def cheb(kind: str, n: int) -> GPoly:
 
 @dataclasses.dataclass(frozen=True)
 class PolyMatrix2:
-    """2x2 matrix of GPoly entries."""
+    """2x2 matrix of GPoly entries; coloring also fills it with Residues
+    and mpmath numbers, for products and entry access."""
 
     a11: GPoly
     a12: GPoly

@@ -21,7 +21,7 @@ import dataclasses
 import mpmath as mp
 
 from .conway import Fraction
-from .polys import GPoly, eval_poly, expand_at_u_squared
+from .polys import GaussInt, GPoly, even_part_as_y, expand_at_u_squared
 
 _Y = GPoly([0, 1])
 _ONE = GPoly([1])
@@ -229,19 +229,19 @@ def trace_field_witness(g: GPoly):
     return A, B
 
 
-def unit_certificate(P: GPoly, r, precision: int = 256):
-    """Evaluate r^2 (r^{a-3} + c_{a-3} r^{a-5} + ... + c_2) for a knot
-    polynomial P = u(u^{a-1} + c_{a-3} u^{a-3} + ... + c_2 u^2 +- 1).
-
-    Returns (value, matched_sign, residual): value should be -c_0 = +-1,
-    and residual = |value - matched_sign| certifies that r is a unit.
-    """
-    Q = P.strip_power(1)
-    with mp.workprec(precision):
-        z = mp.mpc(r)
-        val = eval_poly(GPoly.from_coeffs(Q.coeffs()[2:]), z) * z * z
-        res_plus = abs(val - 1)
-        res_minus = abs(val + 1)
-        if res_plus <= res_minus:
-            return val, 1, res_plus
-        return val, -1, res_minus
+def unit_certificate(P: GPoly) -> int:
+    """The unit fact of a knot polynomial, read exactly from its
+    coefficients: P = u(u^{a-1} + c_{a-3} u^{a-3} + ... + c_2 u^2 + c_0),
+    P/u monic and even with c_0 = +-1.  Then every nonzero root r has
+    r^2 (r^{a-3} + c_{a-3} r^{a-5} + ... + c_2) = -c_0 = +-1, so r is an
+    algebraic unit.  Returns -c_0; raises RileyError when P is not of
+    that form."""
+    try:
+        R = even_part_as_y(P, 1)
+    except ValueError as e:
+        raise RileyError("P is not u times an even polynomial: %s"
+                         % e) from None
+    c0 = R.coeff(0)
+    if R.leading() != GaussInt(1) or c0 not in (GaussInt(1), GaussInt(-1)):
+        raise RileyError("P/u is not monic with constant term +-1")
+    return -c0.re

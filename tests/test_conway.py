@@ -160,10 +160,6 @@ class TestTransforms:
                               f.alpha - f.beta,
                               f.alpha - pow(f.beta, -1, f.alpha))
 
-    def test_orientation_marker_keeps_blocks(self):
-        w = ConwayWord((2, 3))
-        assert transform_word(w, "reverse_orientation_marker").blocks == w.blocks
-
 
 class TestNormalizeZeros:
     def test_paper_example(self):

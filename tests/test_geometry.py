@@ -3,8 +3,10 @@ import functools
 import mpmath as mp
 import pytest
 
-from twobridge.conway import ConwayWord, Fraction, parse_descriptor
-from twobridge.coloring import color_general_word, rep_polynomial, ui_sequence
+from twobridge.conway import ConwayWord, Fraction, canonical_word, \
+    parse_descriptor, transform_word
+from twobridge.coloring import color_general_word, plan_plat, \
+    rep_polynomial, ui_sequence
 from twobridge.geometry import (
     GeometryError,
     arc_vectors_at_root,
@@ -208,16 +210,31 @@ class TestArcVectors:
         assert rep.trace.n_regions == 5 + 2
 
     def test_block_holonomy_traces(self):
-        # tr(A_i B_i) = 2 - u_i(r)^2 for the pair entering each block
-        word = ConwayWord((2, 3))
-        seq = ui_sequence(word)
-        real, plus, _ = table_roots(128)
-        for r in (real, plus):
-            rep = arc_vectors_at_root(word, r, precision=128)
-            with mp.workprec(128):
-                for tr_val, u_poly in zip(block_holonomy_traces(rep), seq):
-                    want = 2 - eval_poly(u_poly, r) ** 2
-                    assert abs(tr_val - want) < 1e-25
+        # tr(A_i B_i) = 2 - u_i(r)^2 for the pair entering each block, at
+        # every nonzero root of every class with alpha <= 15 and of its
+        # mirror word: the numeric walk and the exact engine share one
+        # crossing transfer, on left- and right-handed blocks, parallel
+        # and anti-parallel alike
+        prec = 256
+        kinds = set()
+        for f in class_representatives(15):
+            word = canonical_word(f)
+            for w in (word, transform_word(word, "mirror")):
+                kinds.update((bp.hand, bp.parallel)
+                             for bp in plan_plat(w).blocks if bp.count)
+                seq = ui_sequence(w)
+                for r in find_roots(rep_polynomial(w), precision=prec):
+                    if r == 0:
+                        continue
+                    rep = arc_vectors_at_root(w, r, precision=prec)
+                    with mp.workprec(prec):
+                        traces = block_holonomy_traces(rep)
+                        assert len(traces) == len(seq)
+                        for tr_val, u_poly in zip(traces, seq):
+                            u = eval_poly(u_poly, r)
+                            bound = mp.ldexp(max(1, abs(u) ** 2), -prec // 2)
+                            assert abs(tr_val - (2 - u ** 2)) <= bound, (w, r)
+        assert kinds == {(1, True), (1, False), (-1, True), (-1, False)}
 
     def test_meridian_matrix_parabolic(self):
         m = meridian_matrix((mp.mpc(2, 1), mp.mpc(0, 3)))

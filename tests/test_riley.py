@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from twobridge.conway import Fraction, parse_descriptor, slope
 from twobridge.coloring import color_general_word, rep_polynomial, rep_poly_pair
-from twobridge.polys import GPoly, PolyMatrix2, U, exact_divide, \
+from twobridge.polys import GPoly, PolyMatrix2, U, eval_poly, exact_divide, \
     expand_at_u_squared, parse_poly, sign_normalize
 from twobridge.riley import (
     RileyError,
@@ -210,15 +210,32 @@ class TestTraceFieldWitness:
 
 class TestUnitCertificate:
     def test_trefoil_exact(self):
-        val, sign, res = unit_certificate(P("u^3-u"), 1)
-        assert sign == 1 and res == 0
+        assert unit_certificate(P("u^3-u")) == 1
+
+    def test_every_knot_to_41(self):
+        for frac in coprime(41, parity="odd"):
+            assert unit_certificate(rep_polynomial(frac)) in (1, -1), frac
+
+    def test_non_unit_refused(self):
+        for text in ("u^3-2*u",          # c_0 = -2
+                     "2*u^3-u",          # P/u not monic
+                     "u^4-u^2",          # P/u odd
+                     "u^2+u",            # P/u not even
+                     "u^3+i*u",          # c_0 = i, not +-1
+                     "u^2-1"):           # u does not divide P
+            with pytest.raises(RileyError):
+                unit_certificate(P(text))
 
     def test_table_roots(self):
+        # r^2 (r^{a-3} + ... + c_2) at the published roots of 7/3 is the
+        # certificate's -c_0
         p = rep_polynomial(Fraction(7, 3))
-        for root in (mp.mpf("0.75487766"),
-                     mp.mpc("0.87743883", "0.74486176")):
-            val, sign, res = unit_certificate(p, root)
-            assert res < 1e-6
+        head = GPoly.from_coeffs(p.strip_power(1).coeffs()[2:])
+        cert = unit_certificate(p)
+        with mp.workprec(64):
+            for root in (mp.mpf("0.75487766"),
+                         mp.mpc("0.87743883", "0.74486176")):
+                assert abs(eval_poly(head, root) * root ** 2 - cert) < 1e-6
 
 
 class TestBridgeSweep:
