@@ -11,15 +11,13 @@ from .coloring import (
     ColoringResult,
     color_even_expansion,
     color_general_word,
-    crossing_matrix,
     rep_poly_pair,
     rep_polynomial,
     torus_rep_poly,
     ui_sequence,
 )
 from .polys import GaussInt, GPoly, PolyMatrix2, U, cheb, exact_divide, \
-    even_part_as_y, format_poly, parse_poly, sign_normalize, sl2_power, \
-    substitute_iu
+    even_part_as_y, format_poly, parse_poly, sign_normalize, substitute_iu
 from .riley import (
     Splitting,
     epsilon_sequence,

@@ -37,9 +37,10 @@ word, over Z[u] or in Z[u]/(m), and forms both closure determinants.  In
 Z[u]/(m) the Chebyshev window of a long block is built by doubling, so a
 block of n crossings costs O(log n) products of bounded size.
 color_general_word colors any word; color_even_expansion is the same
-engine restricted to all-even words in their anti-parallel orientation,
-the paper's form, kept as an oracle.  rep_polynomial colors a fraction on
-its canonical word (the shortest one) and a word on itself.
+engine restricted to all-even words in their fixed anti-parallel
+orientation (1, -1), the paper's form, kept as an oracle.  rep_polynomial
+colors a fraction on its canonical word (the shortest one) and a word on
+itself.
 """
 
 from __future__ import annotations
@@ -62,11 +63,6 @@ def det(x, y):
     """The symplectic form x[0] y[1] - x[1] y[0] of two coordinate pairs;
     of two vectors in the basis {a, b} it is <x, y> / u."""
     return x[0] * y[1] - x[1] * y[0]
-
-
-def crossing_matrix(u_block: GPoly, sign: int) -> PolyMatrix2:
-    """X(sign * u_block) = [[0, -1], [1, -sign*u_block]]; det = 1."""
-    return x_power(u_block if sign > 0 else -u_block, 1)
 
 
 # -- orientation tracing ---------------------------------------------------
@@ -141,13 +137,17 @@ def consistent_orientations(j_blocks) -> list:
 
 def plan_plat(word: ConwayWord, orientation=None) -> PlatPlan:
     """Build the crossing plan for a word.  orientation is a (d2, d3) pair
-    of top-strand directions (+1 downward), or None for the default: the
-    unique consistent class for knots, both strands downward for links."""
+    of top-strand directions, each +1 (downward) or -1, or None for the
+    default: the unique consistent class for knots, both strands downward
+    for links."""
     j = word.j_blocks
     plans = _consistent_plans(j, _CLASSES)
     if not plans:
         raise ColoringError("no consistent orientation: degenerate word %s" % word)
     orientation = next(iter(plans)) if orientation is None else tuple(orientation)
+    if len(orientation) != 2 or any(d not in (1, -1) for d in orientation):
+        raise ColoringError("orientation %r is not a pair of +1/-1 directions"
+                            % (orientation,))
     if orientation not in _CLASSES:
         plans.update(_consistent_plans(j, (orientation,)))
     if orientation not in plans:
@@ -292,21 +292,18 @@ def color_general_word(word: ConwayWord, orientation=None) -> ColoringResult:
     return _color(word, plan_plat(word, orientation))
 
 
-def color_even_expansion(word: ConwayWord, orientation=None) -> ColoringResult:
+def color_even_expansion(word: ConwayWord) -> ColoringResult:
     """Color an all-even word in the paper's form.
 
     Every block is anti-parallel, so its transfer matrix is one of
     (X(u)X(-u))^n, (X(-u)X(u))^n written directly in terms of p_n at
-    t = -2 - u_i^2.  The default orientation is the anti-parallel one of
-    the even-expansion diagram, (d2, d3) = (1, -1).
+    t = -2 - u_i^2.  The orientation is fixed to the anti-parallel one of
+    the even-expansion diagram, (d2, d3) = (1, -1): even blocks never swap
+    strands, so it closes on every all-even word.
     """
-    j = word.j_blocks
-    if any(n == 0 or n % 2 for n in j):
+    if any(n == 0 or n % 2 for n in word.j_blocks):
         raise ColoringError("even engine requires all blocks even and nonzero")
-    if orientation is None:
-        classes = consistent_orientations(j)
-        orientation = (1, -1) if (1, -1) in classes else classes[0]
-    plan = plan_plat(word, orientation)
+    plan = plan_plat(word, (1, -1))
     if any(bp.parallel for bp in plan.blocks):
         raise ColoringError("even-expansion orientation must alternate")
     return _color(word, plan)

@@ -33,8 +33,8 @@ import mpmath as mp
 from .conway import ConwayWord, Fraction, canonical_word, slope, \
     transform_word, word_of
 from .coloring import (
-    ColoringError,
     color_plan,
+    consistent_orientations,
     iu_variant,
     plan_plat,
     rep_polynomial,
@@ -42,8 +42,8 @@ from .coloring import (
 )
 from .geometry import arc_vectors_at_root, complex_volume, cusp_shape, \
     find_roots, region_coloring, root_pairs
-from .polys import divides, exact_divide, format_poly, \
-    gauss_divides, int_value, poly_to_json
+from .polys import exact_divide, format_poly, gauss_divides, int_value, \
+    poly_to_json
 from . import riley as _riley
 
 
@@ -172,11 +172,8 @@ def ors_factor_property(spec: OrsSpec, certify_exact: bool = True):
     # type 1 expansion is the seed, with no connecting block)
     k = len(spec.seed.blocks)
     plans = []
-    for orientation in ((1, 1), (1, -1)):
-        try:
-            plan = plan_plat(word, orientation)
-        except ColoringError:
-            continue
+    for orientation in consistent_orientations(word.j_blocks):
+        plan = plan_plat(word, orientation)
         prefix = None
         if spec.type_n > 1:
             prefix = dataclasses.replace(plan, j_blocks=plan.j_blocks[:k],
@@ -209,7 +206,7 @@ def ors_factor_property(spec: OrsSpec, certify_exact: bool = True):
         raise EpiError("seed polynomial does not divide the expansion: bug")
     name, pa = witness
     if certify_exact and frac.alpha <= 400 and not any(
-            divides(pa, p) for _, p in rep_poly_set(frac)):
+            exact_divide(p, pa) is not None for _, p in rep_poly_set(frac)):
         raise EpiError("exact division certificate failed for %s" % word)
     return word, name
 

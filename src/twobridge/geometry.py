@@ -38,7 +38,9 @@ The region-propagation side convention and the crossing-type label cycle
 are exactly the two picture conventions the source material fixes only in
 figures; both are kept as module constants (REGION_RULE_SIGN and the
 _LABELS table) and are pinned by reproducing the published cusp-shape and
-volume tables; the alternative convention remains selectable for tests.
+volume tables.  region_coloring takes no knob: tests that try the other
+side convention or other generic vectors patch REGION_RULE_SIGN and
+_GENERIC_SEED.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ import random
 import mpmath as mp
 
 from .conway import ConwayWord
-from .polys import GPoly, eval_poly, horner
+from .polys import GPoly, PolyMatrix2, eval_poly, horner
 from .coloring import PlatPlan, apply_pair, bottom_caps, det, plan_plat, \
     x_power
 
@@ -573,18 +575,17 @@ def _quandle_step(beta, x, power):
     return (beta[0] + t * x[0], beta[1] + t * x[1])
 
 
-def region_coloring(rep: ParabolicRep, rule_sign: int = None,
-                    seed: int = None) -> RegionData:
+def region_coloring(rep: ParabolicRep) -> RegionData:
     """Propagate a generic base vector over the region adjacency graph.
 
     Global consistency (every adjacency equation satisfied within tolerance)
     is verified and is an error otherwise; w variables are the determinants
     against a second generic vector, re-sampled while any crossing quadruple
-    is degenerate.  The seed selects the base/generic vectors; cusp shape
-    and volume do not depend on it."""
-    rule = REGION_RULE_SIGN if rule_sign is None else rule_sign
+    is degenerate.  _GENERIC_SEED selects the base/generic vectors; cusp
+    shape and volume do not depend on it."""
+    rule = REGION_RULE_SIGN
     trace = rep.trace
-    rng = random.Random(_GENERIC_SEED if seed is None else seed)
+    rng = random.Random(_GENERIC_SEED)
     with mp.workprec(rep.precision):
         tol = mp.mpf(10) * mp.mpf(2) ** (-rep.precision // 2)
         edges = []
@@ -760,17 +761,14 @@ def volumes_agree(v1, v2) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def meridian_matrix(v):
+def meridian_matrix(v) -> PolyMatrix2:
     """A = I + v*vhat for a coloring vector v = (v1, v2); vhat = (-v2, v1)."""
     v1, v2 = v
-    return ((1 - v1 * v2, v1 * v1), (-v2 * v2, 1 + v1 * v2))
+    return PolyMatrix2(1 - v1 * v2, v1 * v1, -v2 * v2, 1 + v1 * v2)
 
 
 def block_holonomy_traces(rep: ParabolicRep):
     """tr(A_i B_i) for the pair entering each block; equals 2 - u_i(r)^2."""
     with mp.workprec(rep.precision):
-        out = []
-        for x, y in rep.trace.entering:
-            A, B = meridian_matrix(x), meridian_matrix(y)
-            out.append(sum(A[i][j] * B[j][i] for i in (0, 1) for j in (0, 1)))
-        return out
+        return [(meridian_matrix(x) * meridian_matrix(y)).trace()
+                for x, y in rep.trace.entering]

@@ -8,8 +8,11 @@ overflow.  All operations are pure; values are immutable and hashable.
 Also provides the residue ring Z[u]/(m) of a monic integer polynomial m
 (ResidueRing, whose Residues are never mutated once made), the
 Chebyshev-style family p_n, f_n, v_n defined by the three-term recursion
-g_{n+1} = t*g_n - g_{n-1}, and SL(2) matrix powers expressed through that
-family.
+g_{n+1} = t*g_n - g_{n-1}, and PolyMatrix2, the one 2x2 matrix form.
+
+_long_divide is the one long-division loop over Z[i]; exact_divide and
+rem_monic are read off it.  ResidueRing reduces its products in a loop of
+its own, which keeps no quotient and runs on integer lists.
 
 horner is the one Horner loop.  GPoly.compose, the exact integer values
 int_value, the mpmath values eval_poly and the root finder's float and
@@ -86,12 +89,6 @@ class GPoly:
     @staticmethod
     def one() -> "GPoly":
         return _ONE
-
-    @staticmethod
-    def monomial(k: int, c=1) -> "GPoly":
-        """c * u^k with c an int, (re, im) pair or GaussInt."""
-        re, im = _as_pair(c)
-        return GPoly([0] * k + [re], [0] * k + [im])
 
     @staticmethod
     def from_coeffs(coeffs) -> "GPoly":
@@ -286,23 +283,22 @@ def _gauss_exact_div(ar, ai, br, bi):
     return qr, qi
 
 
-def exact_divide(num: GPoly, den: GPoly):
-    """Return q with num = den*q exactly over Z[i], or None if not divisible.
+def _long_divide(num: GPoly, den: GPoly):
+    """(q, r) with num = den*q + r and deg r < deg den, by long division
+    over Z[i]; None as soon as a quotient coefficient is not in Z[i].
 
     Raises ZeroDivisionError for a zero divisor.
     """
     if den.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
-    if num.is_zero():
-        return _ZERO
-    if num.degree < den.degree:
-        return None
+    dd = den.degree
+    qn = num.degree - dd
+    if qn < 0:
+        return _ZERO, num
     rr = list(num._re)
     ri = list(num._im)
     dr, di = den._re, den._im
     lr, li = dr[-1], di[-1]
-    dd = den.degree
-    qn = num.degree - dd
     q_re = [0] * (qn + 1)
     q_im = [0] * (qn + 1)
     for k in range(qn, -1, -1):
@@ -320,13 +316,18 @@ def exact_divide(num: GPoly, den: GPoly):
             if br or bi:
                 rr[k + j] -= cr * br - ci * bi
                 ri[k + j] -= cr * bi + ci * br
-    if any(rr) or any(ri):
+    return GPoly(q_re, q_im), GPoly(rr[:dd], ri[:dd])
+
+
+def exact_divide(num: GPoly, den: GPoly):
+    """Return q with num = den*q exactly over Z[i], or None if not divisible.
+
+    Raises ZeroDivisionError for a zero divisor.
+    """
+    qr = _long_divide(num, den)
+    if qr is None or not qr[1].is_zero():
         return None
-    return GPoly(q_re, q_im)
-
-
-def divides(den: GPoly, num: GPoly) -> bool:
-    return exact_divide(num, den) is not None
+    return qr[0]
 
 
 def int_value(p: GPoly, t: int) -> tuple:
@@ -347,22 +348,7 @@ def rem_monic(num: GPoly, den: GPoly) -> GPoly:
     """Remainder of num modulo a monic den (leading coefficient 1)."""
     if den.leading() != GaussInt(1):
         raise ValueError("modulus must be monic")
-    dd = den.degree
-    if num.degree < dd:
-        return num
-    rr = list(num._re)
-    ri = list(num._im)
-    dr, di = den._re, den._im
-    for k in range(num.degree - dd, -1, -1):
-        cr, ci = rr[k + dd], ri[k + dd]
-        if cr == 0 and ci == 0:
-            continue
-        for j in range(dd + 1):
-            br, bi = dr[j], di[j]
-            if br or bi:
-                rr[k + j] -= cr * br - ci * bi
-                ri[k + j] -= cr * bi + ci * br
-    return GPoly(rr[:dd], ri[:dd])
+    return _long_divide(num, den)[1]
 
 
 # -- residues modulo a monic integer polynomial ------------------------------
@@ -616,8 +602,9 @@ def cheb(kind: str, n: int) -> GPoly:
 
 @dataclasses.dataclass(frozen=True)
 class PolyMatrix2:
-    """2x2 matrix of GPoly entries; coloring also fills it with Residues
-    and mpmath numbers, for products and entry access."""
+    """2x2 matrix of GPoly entries, or of Residues or mpmath numbers in
+    coloring's transfers and geometry's meridian matrices: products,
+    traces and entry access."""
 
     a11: GPoly
     a12: GPoly
@@ -636,57 +623,8 @@ class PolyMatrix2:
             self.a21 * other.a12 + self.a22 * other.a22,
         )
 
-    def det(self) -> GPoly:
-        return self.a11 * self.a22 - self.a12 * self.a21
-
     def trace(self) -> GPoly:
         return self.a11 + self.a22
-
-    def inverse_unimodular(self) -> "PolyMatrix2":
-        """Inverse assuming det = 1 (checked)."""
-        if self.det() != _ONE:
-            raise ValueError("matrix is not unimodular")
-        return PolyMatrix2(self.a22, -self.a12, -self.a21, self.a11)
-
-    def __pow__(self, n: int) -> "PolyMatrix2":
-        base = self if n >= 0 else self.inverse_unimodular()
-        n = abs(n)
-        result = PolyMatrix2.identity()
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
-
-
-_SL2_DET_TOL = 1e-9
-
-
-def sl2_power(M, n: int):
-    """M^n for unimodular M via the trace recursion
-    M^n = p_n(t) M - p_{n-1}(t) I with t = tr M.
-
-    Accepts a PolyMatrix2 (exact; det must equal 1) or a 2x2 numeric
-    matrix given as ((a,b),(c,d)) of complex values (det within
-    _SL2_DET_TOL of 1).  Returns the same kind.
-    """
-    if isinstance(M, PolyMatrix2):
-        if M.det() != _ONE:
-            raise ValueError("det != 1, trace power formula does not apply")
-        pn1, pn, _ = p_window(M.trace(), n)
-        return PolyMatrix2(
-            pn * M.a11 - pn1,
-            pn * M.a12,
-            pn * M.a21,
-            pn * M.a22 - pn1,
-        )
-    (a, b), (c, d) = M
-    det = a * d - b * c
-    if abs(det - 1) > _SL2_DET_TOL:
-        raise ValueError("det != 1 within tolerance")
-    pn1, pn, _ = p_window(a + d, n)
-    return ((pn * a - pn1, pn * b), (pn * c, pn * d - pn1))
 
 
 # -- text and JSON forms ----------------------------------------------------

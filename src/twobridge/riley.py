@@ -46,14 +46,14 @@ def epsilon_sequence(frac: Fraction) -> tuple:
     return tuple(-(-1) ** ((i * b) // a) for i in range(1, a))
 
 
-def _word_row(eps, start_with_a: bool, row):
-    """One row of the word matrix: `row` times the rho(a)^e, rho(b)^e letters,
-    by sparse column operations.
+def _word_row(eps, row):
+    """One row of the word matrix: `row` times the letters rho(a)^e_1,
+    rho(b)^e_2, ..., by sparse column operations.
 
     Entries are polynomials in y; returns the row (c1, c2).
     """
     c1, c2 = row
-    use_a = start_with_a
+    use_a = True
     for e in eps:
         if use_a:
             # W <- W * [[1, e], [0, 1]]: c2 += e * c1
@@ -66,20 +66,10 @@ def _word_row(eps, start_with_a: bool, row):
     return c1, c2
 
 
-def _word_matrix(eps, start_with_a: bool):
-    """The word matrix ((w11, w12), (w21, w22)), one row at a time."""
-    return (_word_row(eps, start_with_a, (_ONE, _ZERO)),
-            _word_row(eps, start_with_a, (_ZERO, _ONE)))
-
-
 def riley_matrix(frac: Fraction):
-    """The full word matrix W over Z[y]."""
-    return _word_matrix(epsilon_sequence(frac), start_with_a=True)
-
-
-def riley_matrix_star(frac: Fraction):
-    """W* with the roles of a and b exchanged (links)."""
-    return _word_matrix(epsilon_sequence(frac), start_with_a=False)
+    """The full word matrix W over Z[y], as its rows ((w11, w12), (w21, w22))."""
+    eps = epsilon_sequence(frac)
+    return _word_row(eps, (_ONE, _ZERO)), _word_row(eps, (_ZERO, _ONE))
 
 
 def riley_polynomial(frac: Fraction) -> GPoly:
@@ -87,7 +77,7 @@ def riley_polynomial(frac: Fraction) -> GPoly:
 
     Both entries sit in row 1 of W, so only row 1 is formed.
     """
-    w11, w12 = _word_row(epsilon_sequence(frac), True, (_ONE, _ZERO))
+    w11, w12 = _word_row(epsilon_sequence(frac), (_ONE, _ZERO))
     return w11 if frac.is_knot else w12
 
 

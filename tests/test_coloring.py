@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -7,22 +8,24 @@ import pytest
 from twobridge.conway import ConwayWord, Fraction, canonical_word, \
     even_expansion, parse_descriptor, slope
 from twobridge.coloring import (
+    BlockPlan,
     ColoringError,
     block_transfer,
     color_even_expansion,
     color_general_word,
     color_plan,
     consistent_orientations,
-    crossing_matrix,
+    det,
     iu_variant,
     plan_plat,
     rep_poly_pair,
     rep_polynomial,
     torus_rep_poly,
     ui_sequence,
+    x_power,
 )
-from twobridge.polys import GPoly, U, cheb, exact_divide, parse_poly, \
-    sign_normalize, substitute_iu
+from twobridge.polys import GPoly, PolyMatrix2, ResidueRing, U, cheb, \
+    exact_divide, parse_poly, sign_normalize, substitute_iu
 from twobridge.polys import rem_monic
 
 P = parse_poly
@@ -41,18 +44,121 @@ def coprime(max_alpha, parity=None):
 
 class TestCrossingMatrix:
     def test_positive(self):
-        X = crossing_matrix(U, 1)
+        X = x_power(U, 1)
         assert X.a11.is_zero() and X.a12 == -GPoly.one()
         assert X.a21 == GPoly.one() and X.a22 == -U
-        assert X.det() == GPoly.one()
+        assert det((X.a11, X.a12), (X.a21, X.a22)) == GPoly.one()
 
     def test_negative(self):
-        X = crossing_matrix(U, -1)
+        X = x_power(-U, 1)
         assert X.a22 == U
 
     def test_product_trace(self):
-        t = (crossing_matrix(U, 1) * crossing_matrix(U, -1)).trace()
+        t = (x_power(U, 1) * x_power(-U, 1)).trace()
         assert t == P("-u^2-2")
+
+
+def _ring(kind):
+    """(zero, one, sample values v, entry -> comparable form) for the three
+    entry types the coloring runs X(v) over: GPolys, residues mod the core
+    of 7/3's rep-polynomial, and mpmath numbers.  The mpmath samples are
+    dyadic, so their products are exact at 128 bits."""
+    if kind == "gpoly":
+        vs = [U, -U, P("u^3 - 2*u"), P("(1+1i)*u^2 + 3")]
+        return GPoly.zero(), GPoly.one(), vs, lambda x: x
+    if kind == "residue":
+        ring = ResidueRing(P("u^6 - u^4 + 2*u^2 - 1"))
+        vs = [ring.u, -ring.u, ring.element(P("u^5 - 2*u + 3"))]
+        # block_transfer gives a count-0 block the GPoly identity
+        return ring.zero, ring.one, vs, \
+            lambda x: x if isinstance(x, GPoly) else x.poly()
+    vs = [mp.mpc(0.75, -0.5), mp.mpc(-1.25, 2)]
+    return mp.mpc(0), mp.mpc(1), vs, lambda x: x
+
+
+def _crossing(v, hand, zero, one):
+    """X(v) = [[0, -1], [1, -v]] for hand +1, its inverse for hand -1."""
+    if hand > 0:
+        return PolyMatrix2(zero, -one, one, -v)
+    return PolyMatrix2(-v, one, -one, zero)
+
+
+def _product(matrices, zero, one):
+    T = PolyMatrix2(one, zero, zero, one)
+    for M in matrices:
+        T = T * M
+    return T
+
+
+def _entries(M, key):
+    return [key(x) for x in (M.a11, M.a12, M.a21, M.a22)]
+
+
+class TestXPower:
+    """x_power is the one statement of X(v)^k, for every entry type."""
+
+    def test_x_squared(self):
+        m2 = x_power(U, 2)
+        assert m2.a11 == P("-1") and m2.a12 == U
+        assert m2.a21 == -U and m2.a22 == P("u^2-1")
+
+    @pytest.mark.parametrize("kind", ["gpoly", "residue", "mpmath"])
+    def test_identity(self, kind):
+        zero, one, vs, key = _ring(kind)
+        for v in vs:
+            assert _entries(x_power(v, 0), key) == \
+                [key(one), key(zero), key(zero), key(one)]
+
+    def test_chebyshev_entries(self):
+        for k in (3, 5):
+            mk = x_power(U, k)
+            pk = cheb("p", k).compose(-U)
+            pk1 = cheb("p", k + 1).compose(-U)
+            pkm = cheb("p", k - 1).compose(-U)
+            assert mk.a12 == -pk and mk.a21 == pk
+            assert mk.a11 == -pkm and mk.a22 == pk1
+
+    @pytest.mark.parametrize("kind", ["gpoly", "residue", "mpmath"])
+    def test_matches_crossing_products(self, kind):
+        # X(v)^k is the |k|-fold product of X(v), of X(v)^-1 for k < 0, and
+        # its rows have symplectic form 1
+        with mp.workprec(128):
+            zero, one, vs, key = _ring(kind)
+            for v in vs:
+                for k in range(-12, 13):
+                    M = x_power(v, k)
+                    X = _crossing(v, 1 if k > 0 else -1, zero, one)
+                    assert _entries(M, key) == \
+                        _entries(_product([X] * abs(k), zero, one), key), k
+                    assert key(det((M.a11, M.a12), (M.a21, M.a22))) == key(one)
+
+    def test_deep_power(self):
+        # X(u)^600 by repeated squaring against the Chebyshev window
+        X, M, n = x_power(U, 1), PolyMatrix2.identity(), 600
+        while n:
+            if n & 1:
+                M = M * X
+            X, n = X * X, n >> 1
+        assert x_power(U, 600) == M
+        assert M.a21 == cheb("p", 600).compose(-U)
+
+
+class TestBlockTransfer:
+    @pytest.mark.parametrize("kind", ["gpoly", "residue"])
+    def test_equals_product_of_crossings(self, kind):
+        # crossing s of a block is X(delta_s u)^hand, delta_s = delta0 on a
+        # parallel pair and delta0 (-1)^s on an anti-parallel one
+        zero, one, vs, key = _ring(kind)
+        for u, count, hand, parallel, delta0 in itertools.product(
+                vs, range(10), (1, -1), (True, False), (1, -1)):
+            plan = BlockPlan(left=0, count=count, hand=hand,
+                             parallel=parallel, delta0=delta0)
+            deltas = [delta0 if parallel else delta0 * (-1) ** s
+                      for s in range(count)]
+            want = _product([_crossing(u if d > 0 else -u, hand, zero, one)
+                             for d in deltas], zero, one)
+            assert _entries(block_transfer(u, plan), key) == \
+                _entries(want, key), plan
 
 
 class TestKnotExamples:
@@ -330,6 +436,15 @@ class TestOrientationHandling:
     def test_bad_orientation_rejected(self):
         with pytest.raises(ColoringError):
             color_general_word(ConwayWord((2, 2)), orientation=(1, 1))
+
+    @pytest.mark.parametrize("blocks, orientation", [
+        ((3,), (0, 0)), ((4,), (2, 5)), ((4,), (1, 0)), ((2, 3), (0, 0)),
+        ((2, 3), (1, -1, 1))])
+    def test_orientation_must_be_two_signs(self, blocks, orientation):
+        # a direction that is not +-1 once passed the closure trace and
+        # colored (C[3] at (0, 0) gave u^3 - u)
+        with pytest.raises(ColoringError, match="not a pair"):
+            color_general_word(ConwayWord(blocks), orientation)
 
     def test_global_flip_same_polynomial(self):
         word = ConwayWord((2, 3))

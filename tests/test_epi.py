@@ -125,7 +125,7 @@ class TestOrsFactorProperty:
             assert witness in ("P_A", "P_A(iu)")
 
     def test_certificate_failure_raises(self, monkeypatch):
-        monkeypatch.setattr(epi, "divides", lambda den, num: False)
+        monkeypatch.setattr(epi, "exact_divide", lambda num, den: None)
         with pytest.raises(EpiError):
             ors_factor_property(OrsSpec(ConwayWord((3,)), 3, (1, 0)))
 
@@ -134,7 +134,7 @@ class TestOrsFactorProperty:
         code = (
             "from twobridge import epi\n"
             "from twobridge.conway import ConwayWord\n"
-            "epi.divides = lambda den, num: False\n"
+            "epi.exact_divide = lambda num, den: None\n"
             "spec = epi.OrsSpec(ConwayWord((3,)), 3, (1, 0))\n"
             "try:\n"
             "    epi.ors_factor_property(spec)\n"
@@ -247,7 +247,8 @@ class TestOrsFactorProperty:
         assert witness == "P_A"
         other = sign_normalize(substitute_iu(rep_polynomial(slope(spec.seed))))
         assert other != rep_polynomial(slope(spec.seed))
-        monkeypatch.setattr(epi, "divides", lambda den, num: den == other)
+        monkeypatch.setattr(epi, "exact_divide",
+                            lambda num, den: num if den == other else None)
         with pytest.raises(EpiError):
             ors_factor_property(spec)
 

@@ -11,7 +11,6 @@ import twobridge
 from twobridge.polys import (
     GPoly,
     GaussInt,
-    PolyMatrix2,
     U,
     cheb,
     eval_poly,
@@ -26,7 +25,6 @@ from twobridge.polys import (
     poly_to_json,
     rem_monic,
     sign_normalize,
-    sl2_power,
     substitute_iu,
     unit_normalize,
 )
@@ -95,6 +93,19 @@ class TestExactDivide:
         r = rem_monic(num, den)
         q = exact_divide(num - r, den)
         assert q is not None and q * den + r == num
+
+    @given(st.lists(st.tuples(st.integers(-99, 99), st.integers(-99, 99)),
+                    max_size=10),
+           st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)),
+                    max_size=5))
+    @settings(max_examples=200)
+    def test_rem_monic_is_a_remainder(self, num, low):
+        # rem_monic is the reference the ResidueRing tests compare against
+        num = GPoly.from_coeffs(num)
+        den = GPoly.from_coeffs(low + [1])
+        r = rem_monic(num, den)
+        assert r.degree < den.degree
+        assert exact_divide(num - r, den) is not None
 
 
 class TestEval:
@@ -198,66 +209,6 @@ class TestChebyshev:
         p600 = cheb("p", 600)
         assert p600.degree == 599
         assert p600.compose(GPoly([2])) == GPoly([600])
-
-
-def _random_unimodular(rng):
-    # product of elementary shears has determinant one
-    m = PolyMatrix2.identity()
-    for _ in range(rng.randint(1, 3)):
-        c = GPoly([rng.randint(-2, 2), rng.randint(-1, 1)])
-        if rng.random() < 0.5:
-            e = PolyMatrix2(GPoly.one(), c, GPoly.zero(), GPoly.one())
-        else:
-            e = PolyMatrix2(GPoly.one(), GPoly.zero(), c, GPoly.one())
-        m = m * e
-    return m
-
-
-class TestSL2Power:
-    def x_matrix(self):
-        return PolyMatrix2(GPoly.zero(), -GPoly.one(), GPoly.one(), -U)
-
-    def test_x_squared(self):
-        m2 = sl2_power(self.x_matrix(), 2)
-        assert m2.a11 == P("-1") and m2.a12 == U
-        assert m2.a21 == -U and m2.a22 == P("u^2-1")
-
-    def test_identity(self):
-        m = _random_unimodular(random.Random(7))
-        p0 = sl2_power(m, 0)
-        assert p0.a11 == GPoly.one() and p0.a22 == GPoly.one()
-        assert p0.a12.is_zero() and p0.a21.is_zero()
-
-    def test_chebyshev_entries(self):
-        X = self.x_matrix()
-        for k in (3, 5):
-            mk = sl2_power(X, k)
-            pk = cheb("p", k).compose(-U)
-            pk1 = cheb("p", k + 1).compose(-U)
-            pkm = cheb("p", k - 1).compose(-U)
-            assert mk.a12 == -pk and mk.a21 == pk
-            assert mk.a11 == -pkm and mk.a22 == pk1
-
-    def test_det_enforced(self):
-        bad = PolyMatrix2(U, GPoly.zero(), GPoly.zero(), U)
-        with pytest.raises(ValueError):
-            sl2_power(bad, 2)
-
-    def test_matches_naive_power(self):
-        rng = random.Random(2024)
-        for _ in range(10):
-            m = _random_unimodular(rng)
-            for n in range(-12, 13):
-                assert sl2_power(m, n) == m ** n
-
-    def test_deep_power(self):
-        X = self.x_matrix()
-        assert sl2_power(X, 600) == X ** 600
-
-    def test_numeric_variant(self):
-        m = ((1.0 + 0j, 1.0 + 0j), (0j, 1.0 + 0j))
-        p = sl2_power(m, 5)
-        assert abs(p[0][1] - 5) < 1e-12
 
 
 class TestChebyshevIdentities:

@@ -5,15 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twobridge.conway import Fraction, parse_descriptor, slope
-from twobridge.coloring import color_general_word, rep_polynomial, rep_poly_pair
-from twobridge.polys import GPoly, PolyMatrix2, U, eval_poly, exact_divide, \
+from twobridge.coloring import color_general_word, det, rep_polynomial, \
+    rep_poly_pair
+from twobridge.polys import GPoly, U, eval_poly, exact_divide, \
     expand_at_u_squared, parse_poly, sign_normalize
 from twobridge.riley import (
     RileyError,
     epsilon_sequence,
     hat,
     riley_matrix,
-    riley_matrix_star,
     riley_polynomial,
     split_polynomial,
     trace_field_witness,
@@ -79,14 +79,6 @@ class TestRileyPolynomial:
             assert S.leading().re == 1 and S.leading().im == 0
             assert (S.coeff(0).re, S.coeff(0).im) in ((1, 0), (-1, 0))
 
-    def test_star_relation(self):
-        # W12 = -(1/y) W*_21 exactly, for all even alpha <= 60
-        y = GPoly([0, 1])
-        for frac in coprime(60, parity="even"):
-            (w11, w12), _ = riley_matrix(frac)
-            _, (s21, s22) = riley_matrix_star(frac)
-            assert w12 * y == -s21
-
     def test_no_repeated_roots(self):
         from twobridge.geometry import find_roots
 
@@ -108,11 +100,8 @@ class TestRowOne:
             assert riley_polynomial(frac) == (w11 if frac.is_knot else w12)
 
     def test_unimodular(self):
-        one = GPoly.one()
         for frac in coprime(40):
-            for (w11, w12), (w21, w22) in (riley_matrix(frac),
-                                           riley_matrix_star(frac)):
-                assert PolyMatrix2(w11, w12, w21, w22).det() == one
+            assert det(*riley_matrix(frac)) == GPoly.one()
 
 
 class TestBridge:
