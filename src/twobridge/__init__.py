@@ -8,7 +8,6 @@ colorings, complex volumes, cusp shapes, and epimorphism divisibility.
 from .conway import ConwayWord, Fraction, parse_descriptor, slope, \
     canonical_word, even_expansion, normalize_zeros, transform_word, word_of
 from .coloring import (
-    ColoringResult,
     color_even_expansion,
     color_general_word,
     rep_poly_pair,

@@ -200,10 +200,10 @@ def cmd_volume(args):
 def cmd_epi(args):
     k1 = parse_descriptor(args.k1)
     k2 = parse_descriptor(args.k2)
-    verdict = epi.divisibility_check(k1, k2)
-    doc = {"divides": verdict.divides, "witness": verdict.witness}
-    if verdict.divides:
-        _emit(args, doc, ["yes (witness: %s)" % verdict.witness])
+    witness = epi.divisibility_check(k1, k2)
+    doc = {"divides": witness is not None, "witness": witness}
+    if witness is not None:
+        _emit(args, doc, ["yes (witness: %s)" % witness])
     else:
         _emit(args, doc, ["no"])
 

@@ -196,10 +196,9 @@ def _pair_form(u_i, n: int, first_plus: bool) -> PolyMatrix2:
 
 def block_transfer(u_i, plan: BlockPlan) -> PolyMatrix2:
     """Exact transfer matrix of one twist block acting on its strand pair;
-    its entries are of u_i's type, GPoly or Residue."""
+    its entries are of u_i's type, GPoly, Residue or a number (a block of
+    count 0 gives the identity of that ring)."""
     c, e, b = plan.count, plan.hand, plan.delta0
-    if c == 0:
-        return PolyMatrix2.identity()
     if plan.parallel:
         return x_power(u_i if b > 0 else -u_i, e * c)
     pairs, leftover = divmod(c, 2)
@@ -222,15 +221,6 @@ def apply_pair(vecs, left: int, T: PolyMatrix2):
 
 
 # -- the engine --------------------------------------------------------------
-
-
-@dataclasses.dataclass(frozen=True)
-class ColoringResult:
-    """The rep-polynomial and final vectors of one coloring; ui_sequence
-    gives the block determinants and conway.slope the fraction."""
-
-    rep_poly: GPoly          # sign-normalized, positive leading coefficient
-    final_vectors: tuple     # ((f,g) of a_{k,f}, (f,g) of b_{k,f})
 
 
 def color_plan(plan: PlatPlan, modulus=None):
@@ -275,25 +265,27 @@ def color_plan(plan: PlatPlan, modulus=None):
     return ui, vecs, raw, companion
 
 
-def _color(word: ConwayWord, plan: PlatPlan) -> ColoringResult:
-    """Color the plan and check that both closure determinants agree."""
-    _, vecs, raw, companion = color_plan(plan)
+def _color(word: ConwayWord, plan: PlatPlan) -> GPoly:
+    """Color the plan, check that both closure determinants agree and
+    return the rep-polynomial: raw_P sign-normalized to a positive leading
+    coefficient."""
+    _, _, raw, companion = color_plan(plan)
     if companion != raw and companion != -raw:
         raise ColoringError(
             "closure determinants disagree (%s): engine convention bug" % word
         )
-    L = plan.blocks[-1].left
-    return ColoringResult(rep_poly=sign_normalize(raw),
-                          final_vectors=(vecs[L], vecs[L + 1]))
+    return sign_normalize(raw)
 
 
-def color_general_word(word: ConwayWord, orientation=None) -> ColoringResult:
-    """Color an arbitrary word (zero blocks tolerated) crossing by crossing."""
+def color_general_word(word: ConwayWord, orientation=None) -> GPoly:
+    """The rep-polynomial of an arbitrary word (zero blocks tolerated) in
+    the given orientation (plan_plat's default for None), colored crossing
+    by crossing."""
     return _color(word, plan_plat(word, orientation))
 
 
-def color_even_expansion(word: ConwayWord) -> ColoringResult:
-    """Color an all-even word in the paper's form.
+def color_even_expansion(word: ConwayWord) -> GPoly:
+    """The rep-polynomial of an all-even word, colored in the paper's form.
 
     Every block is anti-parallel, so its transfer matrix is one of
     (X(u)X(-u))^n, (X(-u)X(u))^n written directly in terms of p_n at
@@ -320,7 +312,7 @@ def rep_polynomial(descriptor) -> GPoly:
     (orientation independent); for links this is the both-components-
     downward variant.
     """
-    return color_general_word(word_of(descriptor)).rep_poly
+    return color_general_word(word_of(descriptor))
 
 
 def rep_poly_pair(descriptor) -> tuple:
@@ -329,9 +321,9 @@ def rep_poly_pair(descriptor) -> tuple:
     word = word_of(descriptor)
     if slope(word).is_knot:
         raise ColoringError("knots have a single rep-polynomial")
-    # P1(iu) and P2 agree up to a unit; rep_poly carries the canonical sign
-    return (color_general_word(word, orientation=(1, 1)).rep_poly,
-            color_general_word(word, orientation=(1, -1)).rep_poly)
+    # P1(iu) and P2 agree up to a unit; each carries the canonical sign
+    return (color_general_word(word, orientation=(1, 1)),
+            color_general_word(word, orientation=(1, -1)))
 
 
 def ui_sequence(word: ConwayWord, orientation=None) -> tuple:

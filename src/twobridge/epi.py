@@ -1,13 +1,16 @@
 """ORS expansions, rep-polynomial divisibility and the epimorphism census.
 
 A word C[e_1 a, 2c_1, e_2 a~, 2c_2, e_3 a, ...] built from a seed word a
-(a~ is a reversed) guarantees that the seed's rep-polynomial divides one of
-the big word's rep-polynomials, which is the computable side of the
+(a~ is a reversed) guarantees that the seed's rep-polynomial P_A divides one
+of the big word's rep-polynomials, which is the computable side of the
 epimorphism partial order on 2-bridge knots.  Divisibility is always tested
 by exact polynomial division; large ORS words are handled by running the
 coloring engine in the residue ring Z[u]/(P_A) of the seed polynomial
 (modulo its core when u^2 does not divide P_A), where every product stays
 of bounded size and a 2c-block of any length costs O(log |c|) products.
+
+P_A is the one divisor tried, in every orientation of the expansion (see
+ors_factor_property for why its iu-companion is not tried).
 
 An expansion colored mod the seed core in an orientation that does not
 carry the seed's representations can have residues whose coefficients grow
@@ -35,7 +38,6 @@ from .conway import ConwayWord, Fraction, canonical_word, slope, \
 from .coloring import (
     color_plan,
     consistent_orientations,
-    iu_variant,
     plan_plat,
     rep_polynomial,
     rep_poly_pair,
@@ -112,103 +114,80 @@ def rep_poly_set(descriptor):
     return [("P", p1), ("P(iu)", p2), ("P'", q1), ("P'(iu)", q2)]
 
 
-@dataclasses.dataclass(frozen=True)
-class DivisibilityVerdict:
-    divides: bool
-    witness: str = None      # which polynomial of K1's set is divided
-    quotient_degree: int = -1
-
-
-def divisibility_check(k1, k2) -> DivisibilityVerdict:
+def divisibility_check(k1, k2):
     """Does the rep-polynomial of k2 divide one of k1's rep-polynomials?
+    Returns the name (in rep_poly_set) of the first one it divides, or None.
 
     For knots this decides the existence of an epimorphism G(K1) -> G(K2);
     when k1 is a link it is only the necessary condition."""
     p2 = rep_polynomial(slope(word_of(k2)))
     for name, p1 in rep_poly_set(k1):
-        q = exact_divide(p1, p2)
-        if q is not None:
-            return DivisibilityVerdict(True, name, q.degree)
-    return DivisibilityVerdict(False)
+        if exact_divide(p1, p2) is not None:
+            return name
+    return None
 
 
 def ors_factor_property(spec: OrsSpec, certify_exact: bool = True):
-    """Certify that the seed's rep-polynomial divides one of the expansion's
-    rep-polynomials (the iu-companion for some link cases).
+    """Certify that the seed's rep-polynomial P_A divides one of the
+    expansion's rep-polynomials.
 
     The expansion can be large, so the check runs the coloring engine once
     per orientation in the residue ring Z[u]/(P_A), P_A = u^e core with
-    core(0) != 0: mod core when e = 1 (the closure determinant is f*u, so u
-    always divides it), mod P_A itself when e > 1.  The twist blocks' windows
-    are built by doubling there, so the cost grows with log |c_i|.  With
-    certify_exact the divisibility of the fully expanded polynomials by the
-    returned witness is additionally certified by exact division when the
-    expansion's alpha is at most 400.  The certificate colors the
-    expansion's slope on its canonical word, which is shorter than the
-    expansion word and gives the same set of polynomials.
+    core(0) != 0 (mod core alone when e = 1), where the twist blocks'
+    windows are built by doubling and the cost grows with log |c_i|.  With
+    certify_exact the division by P_A is also certified exactly when the
+    expansion's alpha is at most 400, on the canonical word of its slope
+    (shorter than the expansion word, the same set of polynomials).
+
+    P_A is the one candidate.  Links: the two orientation polynomials are
+    iu-companions, E_o' ~ E_o(iu); u -> iu keeps divisibility and
+    E(-iu) = +-E(iu) for these parity polynomials, so the iu-companion of
+    P_A divides E_o exactly when P_A divides E_o', and both orientations
+    are tried.  Knots: no proof, but no seed was found where P_A fails;
+    one would raise EpiError, never return a wrong witness.
 
     Each orientation is first screened on its prefix, the m blocks of the
-    seed, colored mod the candidate's core.  The prefix's closure determinant
-    <y, z> (the companion of color_plan) is, by the bottom-closure rule, +-
-    the determinant u_{m+1} entering the first connecting 2c-block: the
-    seed's closure determinant in the orientation the expansion induces on
-    it.  ORS extend the seed's representations across a connecting block
-    where it vanishes, so the orientation carrying the factor is never
-    dropped; an orientation whose determinant is not 0 mod the core is
-    dropped before its full coloring.  The screen only drops orientations:
-    a result is accepted by the full check alone (the closure determinant 0
-    mod P_A, or mod its core when e = 1).
+    seed, colored mod the core.  The prefix's closure determinant <y, z>
+    (the companion of color_plan) is, by the bottom-closure rule, +- the
+    determinant u_{m+1} entering the first connecting 2c-block: the seed's
+    closure determinant in the orientation the expansion induces on it.
+    ORS extend the seed's representations across a connecting block where
+    it vanishes, so the orientation carrying the factor is never dropped;
+    an orientation whose determinant is not 0 mod the core is dropped
+    before its full coloring, which alone accepts a result.
 
-    Returns (word, witness_name).  Raises EpiError if division fails.
+    Returns (word, "P_A").  Raises EpiError if division fails, ValueError
+    (from ResidueRing) if the core is not monic and real.
     """
     word = ors_word(spec)
     p_a = rep_polynomial(slope(spec.seed))
-    candidates = [("P_A", p_a)]
-    twisted = iu_variant(p_a)
-    if twisted != p_a and twisted.is_real():
-        candidates.append(("P_A(iu)", twisted))
     frac = slope(word)
-    # each orientation's plan, and the seed blocks its screen colors (a
-    # type 1 expansion is the seed, with no connecting block)
-    k = len(spec.seed.blocks)
-    plans = []
+    core, e = p_a.strip_zero_roots()
+    # raw is <x, b> = f*u, so u itself always divides it: with e = 1 the
+    # core decides.  With e > 1 one coloring mod p_a = u^e core decides:
+    # both factors are monic and core(0) != 0, so they are coprime in Q[u],
+    # and raw is 0 mod p_a exactly when it is 0 mod core and mod u^e (p_a
+    # divides raw in Q[u], and the quotient by a monic divisor of an
+    # integer polynomial is integral).
+    modulus = core if e == 1 else p_a
+    k = len(spec.seed.blocks)   # the screen's prefix; type 1 has no 2c-block
     for orientation in consistent_orientations(word.j_blocks):
         plan = plan_plat(word, orientation)
-        prefix = None
         if spec.type_n > 1:
             prefix = dataclasses.replace(plan, j_blocks=plan.j_blocks[:k],
                                          blocks=plan.blocks[:k])
-        plans.append((plan, prefix))
-    witness = None
-    for name, pa in candidates:
-        core, e = pa.strip_zero_roots()
-        if not core.is_real() or core.leading().re != 1:
-            continue
-        # raw is <x, b> = f*u, so u itself always divides it: with e = 1 the
-        # core decides.  With e > 1 one coloring mod pa = u^e core decides:
-        # both factors are monic and core(0) != 0, so they are coprime in
-        # Q[u], and raw is 0 mod pa exactly when it is 0 mod core and mod u^e
-        # (pa divides raw in Q[u], and the quotient by a monic divisor of an
-        # integer polynomial is integral).
-        modulus = core if e == 1 else pa
-        for plan, prefix in plans:
-            if prefix is not None:
-                _, _, _, closure = color_plan(prefix, modulus=core)
-                if not closure.is_zero():
-                    continue
-            _, _, raw, _ = color_plan(plan, modulus=modulus)
-            if raw.is_zero():
-                witness = (name, pa)
-                break
-        if witness is not None:
+            _, _, _, closure = color_plan(prefix, modulus=core)
+            if not closure.is_zero():
+                continue
+        _, _, raw, _ = color_plan(plan, modulus=modulus)
+        if raw.is_zero():
             break
-    if witness is None:
+    else:
         raise EpiError("seed polynomial does not divide the expansion: bug")
-    name, pa = witness
     if certify_exact and frac.alpha <= 400 and not any(
-            exact_divide(p, pa) is not None for _, p in rep_poly_set(frac)):
+            exact_divide(p, p_a) is not None for _, p in rep_poly_set(frac)):
         raise EpiError("exact division certificate failed for %s" % word)
-    return word, name
+    return word, "P_A"
 
 
 # -- census -------------------------------------------------------------------
@@ -259,8 +238,7 @@ def build_record(frac: Fraction, polys, geometry: bool = True,
         rec["rep_poly_pair"] = [poly_to_json(p) for _, p in polys[:2]]
     R = _riley.riley_polynomial(frac)
     rec["riley_poly"] = poly_to_json(R)
-    proof = _riley.verify_bridge(P, R, frac.is_knot, frac)
-    rec["bridge_sign"] = proof.sign
+    rec["bridge_sign"] = _riley.verify_bridge(P, R, frac.is_knot)
     if frac.is_knot:
         s = _riley.split_polynomial(P, precision=max(precision, 192))
         rec["splitting"] = {"g": poly_to_json(s.g), "g_hat": poly_to_json(s.g_hat)}

@@ -172,18 +172,6 @@ class GPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "GPoly":
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = _ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, GPoly):
             return NotImplemented
@@ -610,10 +598,6 @@ class PolyMatrix2:
     a12: GPoly
     a21: GPoly
     a22: GPoly
-
-    @staticmethod
-    def identity() -> "PolyMatrix2":
-        return PolyMatrix2(_ONE, _ZERO, _ZERO, _ONE)
 
     def __mul__(self, other: "PolyMatrix2") -> "PolyMatrix2":
         return PolyMatrix2(

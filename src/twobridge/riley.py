@@ -81,21 +81,15 @@ def riley_polynomial(frac: Fraction) -> GPoly:
     return w11 if frac.is_knot else w12
 
 
-@dataclasses.dataclass(frozen=True)
-class BridgeProof:
-    frac: Fraction
-    eps: int
-    sign: int        # P = sign * u^eps * R(u^2)
-
-
-def verify_bridge(P: GPoly, R: GPoly, is_knot: bool, frac=None) -> BridgeProof:
-    """Confirm P(u) = +- u^eps R(u^2) exactly; record the resolved sign."""
+def verify_bridge(P: GPoly, R: GPoly, is_knot: bool) -> int:
+    """Confirm P(u) = sign * u^eps R(u^2) exactly, eps = 1 for knots and 2
+    for links; returns the sign, +1 or -1."""
     eps = 1 if is_knot else 2
     rhs = expand_at_u_squared(R).shift(eps)
     if P == rhs:
-        return BridgeProof(frac, eps, 1)
+        return 1
     if P == -rhs:
-        return BridgeProof(frac, eps, -1)
+        return -1
     raise RileyError("coloring/Riley bridge mismatch: engine bug")
 
 

@@ -25,7 +25,7 @@ from twobridge.epi import (
     ors_word,
     rep_poly_set,
 )
-from twobridge.polys import exact_divide, parse_poly, rem_monic, \
+from twobridge.polys import GPoly, exact_divide, parse_poly, rem_monic, \
     sign_normalize, substitute_iu
 
 P = parse_poly
@@ -65,17 +65,16 @@ class TestOrsWord:
 
 class TestDivisibility:
     def test_paper_edge(self):
-        v = divisibility_check(parse_descriptor("C[2,3,0,3,2,-2,2,3]"),
-                               parse_descriptor("C[2,3]"))
-        assert v.divides and v.witness == "P"
+        assert divisibility_check(parse_descriptor("C[2,3,0,3,2,-2,2,3]"),
+                                  parse_descriptor("C[2,3]")) == "P"
 
     def test_c225_over_trefoil(self):
         assert divisibility_check(parse_descriptor("C[2,2,5]"),
-                                  parse_descriptor("C[3]")).divides
+                                  parse_descriptor("C[3]")) is not None
 
     def test_negative(self):
-        assert not divisibility_check(parse_descriptor("C[2,3]"),
-                                      parse_descriptor("C[2,2]")).divides
+        assert divisibility_check(parse_descriptor("C[2,3]"),
+                                  parse_descriptor("C[2,2]")) is None
 
     def test_beta_inverse_agreement(self):
         # verdicts agree computed via (alpha, beta) or (alpha, beta'')
@@ -88,12 +87,12 @@ class TestDivisibility:
             f = Fraction(alpha, beta)
             g = f.inverse_class()
             for target in smalls:
-                assert divisibility_check(f, target).divides == \
-                    divisibility_check(g, target).divides
+                assert (divisibility_check(f, target) is None) == \
+                    (divisibility_check(g, target) is None)
 
     def test_self_division(self):
         f = Fraction(7, 3)
-        assert divisibility_check(f, f).divides
+        assert divisibility_check(f, f) is not None
 
     def test_screened_edges_equal_brute_force(self):
         # the value screen only drops pairs exact division would refuse
@@ -122,7 +121,7 @@ class TestOrsFactorProperty:
                      OrsSpec(ConwayWord((3,)), 3, (1, 0)),
                      OrsSpec(ConwayWord((2, -2)), 3, (0, -1))):
             word, witness = ors_factor_property(spec)
-            assert witness in ("P_A", "P_A(iu)")
+            assert witness == "P_A"
 
     def test_certificate_failure_raises(self, monkeypatch):
         monkeypatch.setattr(epi, "exact_divide", lambda num, den: None)
@@ -235,13 +234,14 @@ class TestOrsFactorProperty:
             for type_n in (2, 3):
                 for c in itertools.product(range(-2, 3), repeat=type_n - 1):
                     spec = OrsSpec(ConwayWord((n,)), type_n, c)
-                    ors_factor_property(spec, certify_exact=True)
+                    _, witness = ors_factor_property(spec, certify_exact=True)
+                    assert witness == "P_A", spec
                     certified += slope(ors_word(spec)).alpha <= 400
         assert certified > 100
 
     def test_certificate_checks_the_returned_witness(self, monkeypatch):
-        # the trefoil seed has two candidates, P_A and P_A(iu); a division
-        # by the candidate that was not returned certifies nothing
+        # a division by the trefoil seed's iu-companion, not the returned
+        # witness P_A, certifies nothing
         spec = OrsSpec(ConwayWord((3,)), 3, (1, 0))
         word, witness = ors_factor_property(spec)
         assert witness == "P_A"
@@ -251,6 +251,21 @@ class TestOrsFactorProperty:
                             lambda num, den: num if den == other else None)
         with pytest.raises(EpiError):
             ors_factor_property(spec)
+
+    @pytest.mark.parametrize("spec", [
+        OrsSpec(ConwayWord((3,)), 3, (1, 0)),      # knot expansion
+        OrsSpec(ConwayWord((2, 3)), 2, (1,)),      # link expansion
+    ])
+    def test_no_vanishing_coloring_raises(self, monkeypatch, spec):
+        # if no orientation's full coloring vanishes mod P_A, the check
+        # raises instead of returning a witness
+        def never_zero(plan, modulus=None):
+            ui, vecs, _, companion = color_plan(plan, modulus)
+            return ui, vecs, GPoly.one(), companion
+
+        monkeypatch.setattr(epi, "color_plan", never_zero)
+        with pytest.raises(EpiError, match="does not divide"):
+            ors_factor_property(spec, certify_exact=False)
 
     def test_certificate_slope_gives_the_expansion_word_set(self):
         # the certificate colors the expansion's slope on its canonical
@@ -401,9 +416,8 @@ class TestCensus:
                 continue
             if target.unoriented_class() in ((15, 4), (15, 11)):
                 continue
-            v = divisibility_check(f, target)
             mirror_keys = {target.unoriented_class(),
                            target.mirror().unoriented_class()}
             if (15, 4) in mirror_keys:
                 continue
-            assert not v.divides, target
+            assert divisibility_check(f, target) is None, target

@@ -342,7 +342,7 @@ class TestInvariance:
         rep = arc_vectors_at_root(ConwayWord((2, 3)), plus, precision=160)
         v = complex_volume(region_coloring(rep))
         mirror = ConwayWord((-2, -3))
-        roots_m = find_roots(color_general_word(mirror).rep_poly, precision=160)
+        roots_m = find_roots(color_general_word(mirror), precision=160)
         best = None
         for rm in roots_m:
             if abs(rm) < 1e-10:

@@ -106,18 +106,21 @@ class TestRowOne:
 
 class TestBridge:
     def test_trefoil(self):
-        proof = verify_bridge(P("u^3-u"), riley_polynomial(Fraction(3, 1)), True)
-        assert proof.eps == 1 and proof.sign in (1, -1)
+        R = riley_polynomial(Fraction(3, 1))
+        assert verify_bridge(P("u^3-u"), R, True) in (1, -1)
+        with pytest.raises(RileyError):   # a link's eps = 2 does not fit
+            verify_bridge(P("u^3-u"), R, False)
 
     def test_whitehead(self):
         frac = Fraction(8, 3)
         p1, _ = rep_poly_pair(frac)
-        proof = verify_bridge(p1, riley_polynomial(frac), False, frac)
-        assert proof.eps == 2
+        assert verify_bridge(p1, riley_polynomial(frac), False) in (1, -1)
+        with pytest.raises(RileyError):   # a knot's eps = 1 does not fit
+            verify_bridge(p1, riley_polynomial(frac), True)
 
     def test_fig8(self):
         frac = Fraction(5, 2)
-        verify_bridge(rep_polynomial(frac), riley_polynomial(frac), True, frac)
+        verify_bridge(rep_polynomial(frac), riley_polynomial(frac), True)
 
     def test_mismatch_raises(self):
         with pytest.raises(RileyError):
@@ -232,5 +235,4 @@ class TestBridgeSweep:
         for frac in coprime(40):
             P_col = rep_polynomial(frac)
             R = riley_polynomial(frac)
-            proof = verify_bridge(P_col, R, frac.is_knot, frac)
-            assert proof.sign in (1, -1)
+            assert verify_bridge(P_col, R, frac.is_knot) in (1, -1)
