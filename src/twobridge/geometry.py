@@ -12,7 +12,8 @@ precision.  A residual gate then checks every root.  The nonzero roots of
 a knot's rep-polynomial come in pairs {r, -r}, since P = +-u R(u^2), and
 both members of a pair give the same representation; root_pairs is the
 one rule that keeps one root per pair.  Every polynomial value, exact
-or numeric, comes from polys.horner.  Arc vectors evaluate the plat
+or numeric, comes from polys.horner, except the Bernoulli tail of Li2
+(below).  Arc vectors evaluate the plat
 propagation numerically at a root: each crossing applies coloring's
 x_power and apply_pair, the transfer the exact engine uses, to mpmath
 vectors, with u = coloring.det of the entering pair.  Region vectors are
@@ -30,9 +31,14 @@ reflected, Li2(z) = pi^2/6 - log z log(1-z) - Li2(1-z); the reduced z has
 |z| <= 1 and Re z <= 1/2, so w = -log(1-z) has |w| <= pi/3 and the
 Bernoulli series Li2 = w - w^2/4 + sum_k B_2k w^(2k+1)/(2k+1)! gains about
 5 bits a term ('t Hooft-Veltman 1979; Zagier, The dilogarithm function,
-2007).  It runs with 24 guard bits over the caller's precision.  Real
-z >= 1, the branch cut and z = 1, is left to mp.polylog, whose cut
-convention is kept.
+2007).  The reductions, the logs and w - w^2/4 + w * tail run in mpmath
+with 24 guard bits over the caller's precision, wp.  The tail
+sum_k c_k (w^2)^k is summed by Horner's rule on Python ints in fp-bit
+fixed point, fp = wp + 8 + ceil(n log2((pi/3)^2)) for the n coefficients
+of the table at wp: each truncating shift errs by at most 2^-fp, and each
+later step multiplies that error by |w^2| <= (pi/3)^2, so the guard grows
+with the number of terms.  Real z >= 1, the branch cut and z = 1, is left
+to mp.polylog, whose cut convention is kept.
 
 The region-propagation side convention and the crossing-type label cycle
 are exactly the two picture conventions the source material fixes only in
@@ -51,6 +57,7 @@ import math
 import random
 
 import mpmath as mp
+from mpmath.libmp import from_man_exp, round_nearest, to_fixed
 
 from .conway import ConwayWord
 from .polys import GPoly, PolyMatrix2, eval_poly, horner
@@ -315,9 +322,10 @@ def dilog(z, precision: int = 256):
 
     |z| > 1 is inverted and Re z > 1/2 reflected, so that w = -log(1-z)
     has |w| <= pi/3; the Bernoulli series in w is then summed with 24 guard
-    bits (_LI2_GUARD_BITS; the formulas are in the module docstring).  Real
-    z >= 1, the branch cut and z = 1, is left to mp.polylog and keeps its
-    convention.
+    bits (_LI2_GUARD_BITS), its tail in fixed point with guard bits derived
+    from the number of terms (_li2_coefficients; the formulas are in the
+    module docstring).  Real z >= 1, the branch cut and z = 1, is left to
+    mp.polylog and keeps its convention.
     """
     with mp.workprec(precision):
         return _li2(mp.mpc(z))
@@ -328,19 +336,27 @@ _LI2_GUARD_BITS = 24
 
 @functools.lru_cache(maxsize=8)
 def _li2_coefficients(prec: int):
-    """B_2k/(2k+1)! for k = 1, 2, ... at prec bits, as (mpf, -log2|c|)
-    pairs, up to the first term below 2^-prec at |w| = pi/3."""
-    with mp.workprec(prec):
-        out = []
-        w2 = math.log2((math.pi / 3) ** 2)
-        k = 1
-        while True:
-            c = mp.bernoulli(2 * k) / mp.factorial(2 * k + 1)
-            bits = -float(mp.log(abs(c), 2))
-            out.append((c, bits))
-            if bits - k * w2 > prec:
-                return tuple(out)
-            k += 1
+    """(fp, table) for the Bernoulli tail at prec bits.  The table holds,
+    for k = 1, 2, ... up to the first term below 2^-prec at |w| = pi/3,
+    the pair (c_k, -log2|c_k|), c_k = B_2k/(2k+1)! as an fp-bit fixed-point
+    int (floor of c_k 2^fp, from the exact Bernoulli fraction).
+
+    fp = prec + 8 + ceil(n log2((pi/3)^2)), n = len(table): each of the n
+    truncating steps of the fixed-point Horner loop errs by at most 2^-fp,
+    and each later step multiplies that error by |w^2| <= (pi/3)^2."""
+    lw2 = math.log2((math.pi / 3) ** 2)
+    terms = []
+    k = 1
+    while True:
+        num, den = mp.bernfrac(2 * k)
+        den *= math.factorial(2 * k + 1)
+        bits = math.log2(den) - math.log2(abs(num))
+        terms.append((num, den, bits))
+        if bits - k * lw2 > prec:
+            break
+        k += 1
+    fp = prec + 8 + math.ceil(len(terms) * lw2)
+    return fp, tuple(((num << fp) // den, bits) for num, den, bits in terms)
 
 
 def _li2(z):
@@ -362,15 +378,25 @@ def _li2(z):
         # 1 - z exactly: rounding it would drop the low bits of a small z
         w = -mp.log(mp.fsub(1, z, exact=True))
         w2 = w * w
-        coeffs = _li2_coefficients(wp)
+        fp, coeffs = _li2_coefficients(wp)
         # terms fall below 2^-wp relative to |w| from index n on
         aw2 = abs(complex(w2))
         lw2 = math.log2(aw2) if aw2 else -math.inf
         n = 0
         while n < len(coeffs) and coeffs[n][1] - (n + 1) * lw2 <= wp:
             n += 1
-        # sum_k c_k w2^(k+1) over the n terms kept
-        tail = horner([c for c, _ in coeffs[:n]], w2) * w2 if n else 0
+        # sum_k c_k w2^(k+1) over the n terms kept, by Horner's rule on
+        # fp-bit fixed-point ints; the last product by w2 is exact
+        tail = 0
+        if n:
+            ar, ai = (to_fixed(x, fp) for x in w2._mpc_)
+            sr, si = coeffs[n - 1][0], 0
+            for k in range(n - 2, -1, -1):
+                sr, si = (((sr * ar - si * ai) >> fp) + coeffs[k][0],
+                          (sr * ai + si * ar) >> fp)
+            tail = mp.make_mpc((
+                from_man_exp(sr * ar - si * ai, -2 * fp, wp, round_nearest),
+                from_man_exp(sr * ai + si * ar, -2 * fp, wp, round_nearest)))
         series = w - w2 / 4 + w * tail
         result = const + sign * series
     return +result

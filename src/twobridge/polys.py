@@ -451,7 +451,8 @@ class Residue:
 def horner(cs, x):
     """cs[0] + cs[1] x + ... + cs[-1] x^(len-1) for a nonempty cs, in the
     ring of cs and x: ints, floats, mpmath numbers or GPolys.  Every
-    polynomial value in the package, exact or numeric, is this loop."""
+    polynomial value in the package, exact or numeric, is this loop, except
+    the Bernoulli tail of geometry's Li2, summed in fixed point."""
     acc = cs[-1]
     for c in reversed(cs[:-1]):
         acc = acc * x + c

@@ -159,7 +159,7 @@ class TestDilogKernel:
                     bad.append((z, float(mp.log(err, 2))))
         assert not bad
 
-    @pytest.mark.parametrize("prec", [53, 128, 256, 512])
+    @pytest.mark.parametrize("prec", [53, 128, 256, 512, 1024])
     def test_relative_accuracy_near_zero(self, prec):
         # Li2(z) ~ z: a small z keeps its relative precision
         for k in (12, 40, 100, 700):
@@ -169,6 +169,22 @@ class TestDilogKernel:
                     got = dilog(z, precision=prec)
                     want = mp.polylog(2, z)
                     assert abs(got - want) <= mp.ldexp(abs(want), 8 - prec)
+
+    def test_longest_series_at_high_precision(self):
+        # at e^(+-i pi/3), and beside it outside the unit circle, |w| =
+        # pi/3: the Bernoulli tail is at its longest, and the fixed-point
+        # error of each of its ~600 steps grows by |w^2| ~ 1.1 per step
+        prec, ref = 3072, 3136
+        with mp.workprec(prec):
+            eps = mp.ldexp(1, -40)
+            pts = [mp.expjpi(s * mp.mpf(1) / 3) * f
+                   for s in (1, -1) for f in (1, 1 + eps)]
+        for z in pts:
+            got = dilog(z, precision=prec)
+            want = dilog(z, precision=ref)
+            with mp.workprec(ref):
+                assert abs(got - want) <= mp.ldexp(max(1, abs(want)),
+                                                   8 - prec)
 
     def test_volume_does_not_call_polylog_off_the_cut(self, monkeypatch):
         polylog = mp.polylog
@@ -335,6 +351,47 @@ class TestInvariance:
             rep = arc_vectors_at_root(ConwayWord((2, 3)), r, precision=160)
             data = region_coloring(rep)
             assert abs(cusp_shape(data) - mp.mpf("-9.01951066")) < 1e-6
+
+    def test_conjugate_root_conjugates_outputs(self):
+        """cusp(conj r) = conj cusp(r) and vol(conj r) = -conj vol(r), the
+        imaginary parts mod pi^2, wherever +-conj r is the root of another
+        representation, over every knot class with alpha <= 13.
+
+        Why it holds: a knot's rep-polynomial has integer coefficients, so
+        conj r is a root, and the plat propagation at conj r gives the
+        conjugate arc vectors.  Region variables grown from the conjugate
+        generic vector are conjugate too, so every Li2 argument w_a/w_b and
+        every log conjugates: W0 becomes conj W0 and vol = -i W0 becomes
+        -conj vol.  Cusp shape and volume do not depend on the generic
+        vector (test_resampling), so region_coloring's own vector gives
+        the same values.  No code path relies on this yet."""
+        tol = mp.ldexp(1, -200)
+        pairs = 0
+        for frac in class_representatives(13):
+            if not frac.is_knot:
+                continue
+            word = canonical_word(frac)
+            roots = find_roots(rep_polynomial(frac), precision=256)
+            with mp.workprec(256):
+                reps = root_pairs([r for r in roots if r != 0])
+                out = []
+                for r in reps:
+                    data = region_coloring(
+                        arc_vectors_at_root(word, r, precision=256))
+                    out.append((r, cusp_shape(data), complex_volume(data)))
+                for i, (r, c, v) in enumerate(out):
+                    gaps = [min(abs(s - mp.conj(r)), abs(s + mp.conj(r)))
+                            for s, _, _ in out]
+                    j = min(range(len(gaps)), key=gaps.__getitem__)
+                    if j <= i or gaps[j] > mp.ldexp(1, -128):
+                        continue
+                    pairs += 1
+                    _, cj, vj = out[j]
+                    assert abs(cj - mp.conj(c)) <= tol
+                    assert abs(mp.re(vj) + mp.re(v)) <= tol
+                    d = mp.fmod(mp.im(vj) - mp.im(v), mp.pi ** 2)
+                    assert min(abs(d), mp.pi ** 2 - abs(d)) <= tol
+        assert pairs == 28
 
     def test_mirror_volume_sign(self):
         # mirror diagram, paired root: real part of the volume flips
