@@ -35,7 +35,6 @@ from .geometry import (
     dilog,
     find_roots,
     region_coloring,
-    volumes_agree,
 )
 from .epi import OrsSpec, census_build, divisibility_check, ors_factor_property, ors_word
 

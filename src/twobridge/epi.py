@@ -42,8 +42,8 @@ from .coloring import (
     rep_polynomial,
     rep_poly_pair,
 )
-from .geometry import arc_vectors_at_root, complex_volume, cusp_shape, \
-    find_roots, region_coloring, root_pairs
+from .geometry import arc_vectors_at_root, complex_volume, \
+    conjugate_partners, cusp_shape, find_roots, region_coloring, root_pairs
 from .polys import exact_divide, format_poly, gauss_divides, int_value, \
     poly_to_json
 from . import riley as _riley
@@ -219,7 +219,15 @@ def build_record(frac: Fraction, polys, geometry: bool = True,
     roots and, for knots, one representation per {r, -r} pair of nonzero
     roots (geometry.root_pairs): both members give the same one.  P (a
     link's pair) is the first entry (two) of `polys`, the class's
-    rep_poly_set; a knot's nonzero roots are those its split read."""
+    rep_poly_set; a knot's nonzero roots are those its split read.
+
+    The geometry is computed once per conjugate pair of kept roots: a root
+    r within root_pairs' tolerance of +-conj r0 for exactly one earlier
+    kept root r0 (geometry.conjugate_partners; never a real or purely
+    imaginary root) gets conj cusp(r0) and -conj vol(r0), the conjugate
+    representation's, instead of its own arc vectors, region coloring and
+    state sums.  Inside each volume the Li2 kernel hands back the
+    log(1 - z) it took, so the gradient does not take it again."""
     word = canonical_word(frac)
     rec = {
         "schema": CENSUS_SCHEMA,
@@ -251,11 +259,7 @@ def build_record(frac: Fraction, polys, geometry: bool = True,
                             for r in roots]
             if frac.is_knot:
                 reps = []
-                for r in root_pairs(s.roots):
-                    rep = arc_vectors_at_root(word, r, precision=precision)
-                    data = region_coloring(rep)
-                    c = cusp_shape(data)
-                    v = complex_volume(data)
+                for r, c, v in _representations(word, s.roots, precision):
                     reps.append({
                         "root": {"re": nstr(mp.re(r)), "im": nstr(mp.im(r))},
                         "cusp_shape": {"re": nstr(mp.re(c)), "im": nstr(mp.im(c))},
@@ -263,6 +267,26 @@ def build_record(frac: Fraction, polys, geometry: bool = True,
                     })
                 rec["representations"] = reps
     return rec
+
+
+def _representations(word, roots, precision):
+    """(r, cusp shape, complex volume) for each root r of root_pairs(roots),
+    computed at `precision` bits unless r has a partner r0 in
+    geometry.conjugate_partners; then they are conj cusp(r0) and
+    -conj vol(r0), whose imaginary part im vol(r0) is already reduced
+    mod pi^2.  The pairing reads the current mpmath precision."""
+    kept = root_pairs(roots)
+    out = []
+    for r, j in zip(kept, conjugate_partners(kept)):
+        if j is None:
+            data = region_coloring(
+                arc_vectors_at_root(word, r, precision=precision))
+            c, v = cusp_shape(data), complex_volume(data)
+        else:
+            _, c0, v0 = out[j]
+            c, v = mp.conj(c0), mp.mpc(-mp.re(v0), mp.im(v0))
+        out.append((r, c, v))
+    return out
 
 
 def census_build(max_alpha: int, out=None, geometry: bool = True,

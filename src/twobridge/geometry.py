@@ -11,7 +11,15 @@ condition number, that stops once a step falls below half the working
 precision.  A residual gate then checks every root.  The nonzero roots of
 a knot's rep-polynomial come in pairs {r, -r}, since P = +-u R(u^2), and
 both members of a pair give the same representation; root_pairs is the
-one rule that keeps one root per pair.  Every polynomial value, exact
+one rule that keeps one root per pair.  The polynomial has integer
+coefficients, so its non-real roots also come in conjugate pairs, and the
+representation at conj r is the complex conjugate of the one at r: its
+cusp shape is the conjugate, and its complex volume is minus the
+conjugate, the imaginary part taken mod pi^2.  conjugate_partners is the
+one rule that matches a kept root r to the earlier kept root r0 with
+r = +-conj r0, within root_pairs' tolerance, so that a caller computes
+the geometry once per conjugate pair; a real or purely imaginary root is
+its own partner and is always computed.  Every polynomial value, exact
 or numeric, comes from polys.horner, except the Bernoulli tail of Li2
 (below).  Arc vectors evaluate the plat
 propagation numerically at a root: each crossing applies coloring's
@@ -38,7 +46,10 @@ fixed point, fp = wp + 8 + ceil(n log2((pi/3)^2)) for the n coefficients
 of the table at wp: each truncating shift errs by at most 2^-fp, and each
 later step multiplies that error by |w^2| <= (pi/3)^2, so the guard grows
 with the number of terms.  Real z >= 1, the branch cut and z = 1, is left
-to mp.polylog, whose cut convention is kept.
+to mp.polylog, whose cut convention is kept.  Each log is taken once: on
+the reflected branch log z is also -w, and _li2 returns the log(1 - z) it
+took (z unreduced, or reflected without inversion) to the volume
+gradient, which needs the same log.
 
 The region-propagation side convention and the crossing-type label cycle
 are exactly the two picture conventions the source material fixes only in
@@ -60,7 +71,7 @@ import mpmath as mp
 from mpmath.libmp import from_man_exp, round_nearest, to_fixed
 
 from .conway import ConwayWord
-from .polys import GPoly, PolyMatrix2, eval_poly, horner
+from .polys import GPoly, eval_poly, horner
 from .coloring import PlatPlan, apply_pair, bottom_caps, det, plan_plat, \
     x_power
 
@@ -68,6 +79,7 @@ __all__ = [
     "GeometryError",
     "find_roots",
     "root_pairs",
+    "conjugate_partners",
     "eval_poly",
     "dilog",
     "arc_vectors_at_root",
@@ -75,9 +87,6 @@ __all__ = [
     "cusp_shape",
     "complex_volume",
     "volume_reduce",
-    "volumes_agree",
-    "meridian_matrix",
-    "block_holonomy_traces",
     "ParabolicRep",
     "RegionData",
 ]
@@ -160,6 +169,25 @@ def root_pairs(roots):
         pool.pop(best)
         reps.append(r)
     return reps
+
+
+def conjugate_partners(roots):
+    """For each root r of a root_pairs list, the index of the earlier root
+    r0 with r within root_pairs' tolerance, 2^(-prec/2) max(1,|r|), of
+    conj r0 or of -conj r0, or None.  A real or purely imaginary root is
+    its own partner and gets None, as does a root whose partner is not
+    unique.  The representation at r is then the conjugate of the one at
+    r0 (see the module docstring)."""
+    partners = []
+    for i, r in enumerate(roots):
+        tol = mp.ldexp(max(1, abs(r)), -(mp.mp.prec // 2))
+
+        def near(r0):
+            return min(abs(r - mp.conj(r0)), abs(r + mp.conj(r0))) <= tol
+
+        found = [] if near(r) else [j for j in range(i) if near(roots[j])]
+        partners.append(found[0] if len(found) == 1 else None)
+    return partners
 
 
 def _aberth_sweeps(coeffs, dcoeffs, z, tol, freeze=0):
@@ -328,7 +356,7 @@ def dilog(z, precision: int = 256):
     mp.polylog and keeps its convention.
     """
     with mp.workprec(precision):
-        return _li2(mp.mpc(z))
+        return _li2(mp.mpc(z))[0]
 
 
 _LI2_GUARD_BITS = 24
@@ -360,23 +388,31 @@ def _li2_coefficients(prec: int):
 
 
 def _li2(z):
-    """Li2(z) for an mpc z at the current mpmath precision (see dilog)."""
+    """(Li2(z), log(1 - z)) for an mpc z at the current mpmath precision
+    (see dilog).  The log is the one the reductions took, at the guarded
+    precision, when z is not inverted (unreduced, or reflected only); it
+    is None when z is inverted or on the cut."""
     if z.imag == 0 and z.real >= 1:
-        return mp.polylog(2, z)
+        return mp.polylog(2, z), None
     wp = mp.mp.prec + _LI2_GUARD_BITS
     with mp.workprec(wp):
         # Li2(z) = const + sign * Li2(z'), |z'| <= 1 and Re z' <= 1/2
         const, sign = mp.mpc(0), 1
-        if abs(z) > 1:
+        inverted = abs(z) > 1
+        if inverted:
             const = -mp.pi ** 2 / 6 - mp.log(-z) ** 2 / 2
             sign = -1
             z = 1 / z
         if z.real > 0.5:
-            const += sign * (mp.pi ** 2 / 6 - mp.log(z) * mp.log(1 - z))
+            log_z, log_1mz = mp.log(z), mp.log(1 - z)
+            const += sign * (mp.pi ** 2 / 6 - log_z * log_1mz)
             sign = -sign
-            z = 1 - z
-        # 1 - z exactly: rounding it would drop the low bits of a small z
-        w = -mp.log(mp.fsub(1, z, exact=True))
+            # z' = 1 - z, so w = -log(1 - z') = -log z
+            w = -log_z
+        else:
+            # 1 - z exactly: rounding it would drop the low bits of a small z
+            log_1mz = mp.log(mp.fsub(1, z, exact=True))
+            w = -log_1mz
         w2 = w * w
         fp, coeffs = _li2_coefficients(wp)
         # terms fall below 2^-wp relative to |w| from index n on
@@ -399,7 +435,7 @@ def _li2(z):
                 from_man_exp(sr * ai + si * ar, -2 * fp, wp, round_nearest)))
         series = w - w2 / 4 + w * tail
         result = const + sign * series
-    return +result
+    return +result, None if inverted else log_1mz
 
 
 # ---------------------------------------------------------------------------
@@ -733,8 +769,10 @@ def _potential_terms(wa, wb, wc, wd):
     W = mp.pi ** 2 / 6 - log_bc * log_dc
     grad = [0, -log_dc, log_dc + log_bc, -log_bc]
     for sgn, z, nums, dens in zs:
-        W += sgn * _li2(z)
-        dlog = mp.log(1 - z)
+        li2, dlog = _li2(z)
+        W += sgn * li2
+        if dlog is None:
+            dlog = mp.log(1 - z)
         for v in nums:
             grad[v] = grad[v] - sgn * dlog
         for v in dens:
@@ -767,34 +805,3 @@ def volume_reduce(v):
     if pi2 - im < mp.ldexp(pi2, -(mp.mp.prec // 2)):
         im = mp.mpf(0)
     return mp.mpc(mp.re(v), im)
-
-
-_VOLUME_TOL = 1e-6
-
-
-def volumes_agree(v1, v2) -> bool:
-    """Equal real parts; imaginary parts equal mod pi^2 (circular distance),
-    both within _VOLUME_TOL."""
-    pi2 = float(mp.pi ** 2)
-    if abs(mp.re(v1) - mp.re(v2)) > _VOLUME_TOL:
-        return False
-    d = (float(mp.im(v1)) - float(mp.im(v2))) % pi2
-    return min(d, pi2 - d) < _VOLUME_TOL
-
-
-# ---------------------------------------------------------------------------
-# holonomy helpers
-# ---------------------------------------------------------------------------
-
-
-def meridian_matrix(v) -> PolyMatrix2:
-    """A = I + v*vhat for a coloring vector v = (v1, v2); vhat = (-v2, v1)."""
-    v1, v2 = v
-    return PolyMatrix2(1 - v1 * v2, v1 * v1, -v2 * v2, 1 + v1 * v2)
-
-
-def block_holonomy_traces(rep: ParabolicRep):
-    """tr(A_i B_i) for the pair entering each block; equals 2 - u_i(r)^2."""
-    with mp.workprec(rep.precision):
-        return [(meridian_matrix(x) * meridian_matrix(y)).trace()
-                for x, y in rep.trace.entering]

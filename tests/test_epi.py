@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 
+import mpmath as mp
 import pytest
 
 import twobridge
@@ -356,9 +357,12 @@ class TestCensus:
 
     def test_each_class_colored_and_rooted_once(self, monkeypatch):
         # the census colors each class's rep_poly_set once, for records and
-        # edges alike, and a knot's representations reuse its split's roots
+        # edges alike, a knot's representations reuse its split's roots,
+        # and the geometry runs once per conjugate pair: 51 of the 66
+        # representations at alpha <= 11
         from twobridge import coloring, geometry
-        calls = {"color": 0, "roots": 0}
+        calls = {"color": 0, "roots": 0, "arcs": 0, "regions": 0,
+                 "volume": 0}
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
@@ -371,8 +375,59 @@ class TestCensus:
         roots = counted("roots", geometry.find_roots)
         monkeypatch.setattr(geometry, "find_roots", roots)
         monkeypatch.setattr(epi, "find_roots", roots)
+        for key, name in (("arcs", "arc_vectors_at_root"),
+                          ("regions", "region_coloring"),
+                          ("volume", "complex_volume")):
+            monkeypatch.setattr(epi, name, counted(key, getattr(epi, name)))
         census_build(11, geometry=True)
-        assert calls == {"color": 82, "roots": 30}
+        assert calls == {"color": 82, "roots": 30, "arcs": 51,
+                         "regions": 51, "volume": 51}
+
+    def test_conjugate_members_match_their_own_roots(self, monkeypatch):
+        # a representation the census derives from its conjugate partner
+        # equals the one computed at its own root, over every knot class
+        # with alpha <= 13 at 256 bits; real and purely imaginary roots
+        # are always computed
+        from twobridge import geometry
+        prec = 256
+        runs, computed = [], []
+        arcs = epi.arc_vectors_at_root
+        representations = epi._representations
+
+        def recording_arcs(word, r, precision):
+            computed.append(r)
+            return arcs(word, r, precision=precision)
+
+        def recording_representations(word, roots, precision):
+            computed.clear()
+            out = representations(word, roots, precision)
+            runs.append((word, list(computed), out))
+            return out
+
+        monkeypatch.setattr(epi, "arc_vectors_at_root", recording_arcs)
+        monkeypatch.setattr(epi, "_representations",
+                            recording_representations)
+        census_build(13, geometry=True, precision=prec)
+        tol = mp.ldexp(1, -200)
+        derived = 0
+        with mp.workprec(prec):
+            pi2 = mp.pi ** 2
+            for word, computed, out in runs:
+                for r, c, v in out:
+                    if r in computed:
+                        continue
+                    derived += 1
+                    assert min(abs(r.real), abs(r.imag)) > 1e-20, (word, r)
+                    data = geometry.region_coloring(
+                        arcs(word, r, precision=prec))
+                    c1 = geometry.cusp_shape(data)
+                    v1 = geometry.complex_volume(data)
+                    assert abs(c - c1) <= tol, (word, r)
+                    assert abs(mp.re(v) - mp.re(v1)) <= tol, (word, r)
+                    d = mp.fmod(mp.im(v) - mp.im(v1), pi2)
+                    assert min(abs(d), pi2 - abs(d)) <= tol, (word, r)
+        assert len(runs) == 26
+        assert derived == 28
 
     def test_one_representation_per_root_pair(self):
         # r and -r give the same representation: a knot has one per pair

@@ -11,23 +11,45 @@ from twobridge.coloring import color_general_word, det, plan_plat, \
 from twobridge.geometry import (
     GeometryError,
     arc_vectors_at_root,
-    block_holonomy_traces,
     complex_volume,
     cusp_shape,
     dilog,
     eval_poly,
     find_roots,
     gluing_residual,
-    meridian_matrix,
     region_coloring,
     volume_reduce,
-    volumes_agree,
 )
 from twobridge.epi import class_representatives
 from twobridge.geometry import root_pairs
-from twobridge.polys import GPoly, parse_poly
+from twobridge.polys import GPoly, PolyMatrix2, parse_poly
 
 P = parse_poly
+
+_VOLUME_TOL = 1e-6
+
+
+def volumes_agree(v1, v2) -> bool:
+    """Equal real parts; imaginary parts equal mod pi^2 (circular distance),
+    both within _VOLUME_TOL."""
+    pi2 = float(mp.pi ** 2)
+    if abs(mp.re(v1) - mp.re(v2)) > _VOLUME_TOL:
+        return False
+    d = (float(mp.im(v1)) - float(mp.im(v2))) % pi2
+    return min(d, pi2 - d) < _VOLUME_TOL
+
+
+def meridian_matrix(v) -> PolyMatrix2:
+    """A = I + v*vhat for a coloring vector v = (v1, v2); vhat = (-v2, v1)."""
+    v1, v2 = v
+    return PolyMatrix2(1 - v1 * v2, v1 * v1, -v2 * v2, 1 + v1 * v2)
+
+
+def block_holonomy_traces(rep):
+    """tr(A_i B_i) for the pair entering each block; equals 2 - u_i(r)^2."""
+    with mp.workprec(rep.precision):
+        return [(meridian_matrix(x) * meridian_matrix(y)).trace()
+                for x, y in rep.trace.entering]
 
 
 def table_roots(precision=256):
@@ -169,6 +191,24 @@ class TestDilogKernel:
                     got = dilog(z, precision=prec)
                     want = mp.polylog(2, z)
                     assert abs(got - want) <= mp.ldexp(abs(want), 8 - prec)
+
+    @pytest.mark.parametrize("prec", [53, 128, 256, 512])
+    def test_returned_log_is_log_one_minus_z(self, prec):
+        # the volume gradient uses the log(1 - z) that _li2 returns in
+        # place of its own; None leaves the gradient to take it
+        grid = _kernel_grid()
+        returned = 0
+        for z in grid:
+            with mp.workprec(prec):
+                z = mp.mpc(z)
+                _, log_1mz = geometry._li2(z)
+                if log_1mz is None:
+                    continue
+                returned += 1
+                want = mp.log(1 - z)
+                assert abs(log_1mz - want) <= mp.ldexp(
+                    max(1, abs(want)), 8 - prec), z
+        assert returned > len(grid) // 3
 
     def test_longest_series_at_high_precision(self):
         # at e^(+-i pi/3), and beside it outside the unit circle, |w| =
@@ -355,7 +395,8 @@ class TestInvariance:
     def test_conjugate_root_conjugates_outputs(self):
         """cusp(conj r) = conj cusp(r) and vol(conj r) = -conj vol(r), the
         imaginary parts mod pi^2, wherever +-conj r is the root of another
-        representation, over every knot class with alpha <= 13.
+        representation, over every knot class with alpha <= 31, both
+        members computed at their own roots, at 128 bits.
 
         Why it holds: a knot's rep-polynomial has integer coefficients, so
         conj r is a root, and the plat propagation at conj r gives the
@@ -364,26 +405,33 @@ class TestInvariance:
         every log conjugates: W0 becomes conj W0 and vol = -i W0 becomes
         -conj vol.  Cusp shape and volume do not depend on the generic
         vector (test_resampling), so region_coloring's own vector gives
-        the same values.  No code path relies on this yet."""
-        tol = mp.ldexp(1, -200)
-        pairs = 0
-        for frac in class_representatives(13):
+        the same values.  The census derives the second member of each pair
+        from the first (epi._representations), so this pins the identity
+        over every pair it can meet up to alpha 31; real and purely
+        imaginary roots are their own partners and are skipped."""
+        prec = 128
+        tol = mp.ldexp(1, -100)
+        pairs = members = 0
+        for frac in class_representatives(31):
             if not frac.is_knot:
                 continue
             word = canonical_word(frac)
-            roots = find_roots(rep_polynomial(frac), precision=256)
-            with mp.workprec(256):
-                reps = root_pairs([r for r in roots if r != 0])
+            roots = find_roots(rep_polynomial(frac), precision=prec)
+            with mp.workprec(prec):
+                near = mp.ldexp(1, -(prec // 2))
+                reps = [r for r in root_pairs([r for r in roots if r != 0])
+                        if min(abs(r.real), abs(r.imag)) > near]
+                members += len(reps)
                 out = []
                 for r in reps:
                     data = region_coloring(
-                        arc_vectors_at_root(word, r, precision=256))
+                        arc_vectors_at_root(word, r, precision=prec))
                     out.append((r, cusp_shape(data), complex_volume(data)))
                 for i, (r, c, v) in enumerate(out):
                     gaps = [min(abs(s - mp.conj(r)), abs(s + mp.conj(r)))
                             for s, _, _ in out]
                     j = min(range(len(gaps)), key=gaps.__getitem__)
-                    if j <= i or gaps[j] > mp.ldexp(1, -128):
+                    if j <= i or gaps[j] > near:
                         continue
                     pairs += 1
                     _, cj, vj = out[j]
@@ -391,7 +439,8 @@ class TestInvariance:
                     assert abs(mp.re(vj) + mp.re(v)) <= tol
                     d = mp.fmod(mp.im(vj) - mp.im(v), mp.pi ** 2)
                     assert min(abs(d), mp.pi ** 2 - abs(d)) <= tol
-        assert pairs == 28
+        # every non-real, non-imaginary kept root is in one pair
+        assert (pairs, members) == (437, 874)
 
     def test_mirror_volume_sign(self):
         # mirror diagram, paired root: real part of the volume flips
