@@ -12,11 +12,10 @@ from .coloring import (
     color_general_word,
     rep_poly_pair,
     rep_polynomial,
-    torus_rep_poly,
     ui_sequence,
 )
-from .polys import GaussInt, GPoly, PolyMatrix2, U, cheb, exact_divide, \
-    even_part_as_y, format_poly, parse_poly, sign_normalize, substitute_iu
+from .polys import GPoly, PolyMatrix2, U, exact_divide, even_part_as_y, \
+    format_poly, parse_poly, sign_normalize
 from .riley import (
     Splitting,
     epsilon_sequence,

@@ -48,8 +48,8 @@ from __future__ import annotations
 import dataclasses
 
 from .conway import ConwayWord, slope, word_of
-from .polys import GPoly, PolyMatrix2, ResidueRing, U, cheb, p_window, \
-    sign_normalize, substitute_iu
+from .polys import GPoly, PolyMatrix2, ResidueRing, U, format_poly, \
+    p_window, sign_normalize
 
 _ZERO = GPoly.zero()
 _ONE = GPoly.one()
@@ -237,7 +237,7 @@ def color_plan(plan: PlatPlan, modulus=None):
     included, is reduced as it is formed, so sizes stay bounded and a
     window of a long block is built by doubling (p_window).  The results
     come back as GPolys of degree < deg m (used for divisibility tests at
-    scale).  A modulus that is not monic or not real raises ValueError.
+    scale).  A modulus that is not monic raises ValueError.
     """
     if modulus is None:
         ring = None
@@ -316,12 +316,13 @@ def rep_polynomial(descriptor) -> GPoly:
 
 
 def rep_poly_pair(descriptor) -> tuple:
-    """Both rep-polynomials of a link, each unit-normalized to integer
-    coefficients; the first is the both-downward variant.  Raises on knots."""
+    """Both rep-polynomials of a link, each sign-normalized to a positive
+    leading coefficient; the first is the both-downward variant.  Raises on
+    knots."""
     word = word_of(descriptor)
     if slope(word).is_knot:
         raise ColoringError("knots have a single rep-polynomial")
-    # P1(iu) and P2 agree up to a unit; each carries the canonical sign
+    # P2 is P1(iu) up to a unit (iu_variant); each carries the canonical sign
     return (color_general_word(word, orientation=(1, 1)),
             color_general_word(word, orientation=(1, -1)))
 
@@ -333,35 +334,17 @@ def ui_sequence(word: ConwayWord, orientation=None) -> tuple:
     return tuple(ui)
 
 
-def torus_rep_poly(strands: int, crossings: int, variant: str) -> GPoly:
-    """Closed-form torus rep-polynomials used as engine oracles.
-
-    T(2, 2k+1) knots:            +-u p_{2k+1}(-u)
-    T(2, 2k) parallel variant:   +-u p_{2k}(-u)
-    T(2, 2k) anti-parallel:      +-u^2 p_k(-2-u^2)
-    """
-    if strands != 2:
-        raise ValueError("only 2-strand torus links are two-bridge")
-    if crossings < 2:
-        raise ValueError("need at least 2 crossings")
-    q = crossings
-    if variant == "knot":
-        if q % 2 == 0:
-            raise ValueError("torus knot needs odd crossing count")
-        p = cheb("p", q).compose(-U)
-        return sign_normalize(p * U)
-    if q % 2 == 1:
-        raise ValueError("torus link needs even crossing count")
-    if variant == "link_parallel":
-        p = cheb("p", q).compose(-U)
-        return sign_normalize(p * U)
-    if variant == "link_antiparallel":
-        t = -(U * U) - 2
-        p = cheb("p", q // 2).compose(t)
-        return sign_normalize(p * U * U)
-    raise ValueError("variant must be knot, link_parallel or link_antiparallel")
-
-
 def iu_variant(p: GPoly) -> GPoly:
-    """The companion polynomial P(iu), unit-normalized to the canonical sign."""
-    return sign_normalize(substitute_iu(p))
+    """The companion polynomial P(iu), sign-normalized.
+
+    When the nonzero terms of P all have degrees of one parity e,
+    P(iu) = i^e Q(u) with Q the integer polynomial c_k -> (-1)^(k//2) c_k,
+    and Q is returned with a positive leading coefficient.  A P with terms
+    of both parities raises ValueError: its P(iu) is no unit times an
+    integer polynomial.
+    """
+    if len({k & 1 for k, x in enumerate(p.c) if x}) > 1:
+        raise ValueError("P(iu) is not a unit times an integer polynomial: "
+                         "%s has terms of both parities" % format_poly(p))
+    return sign_normalize(GPoly([(-x if k & 2 else x)
+                                 for k, x in enumerate(p.c)]))

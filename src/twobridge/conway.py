@@ -59,10 +59,6 @@ class Fraction:
     def mirror(self) -> "Fraction":
         return Fraction(self.alpha, self.alpha - self.beta)
 
-    def inverse_class(self) -> "Fraction":
-        """The fraction of the upside-down diagram: beta' = beta^(-1) mod alpha."""
-        return Fraction(self.alpha, pow(self.beta, -1, self.alpha))
-
     def unoriented_class(self) -> tuple:
         """Canonical key of the unoriented equivalence class {beta, beta^-1}."""
         return (self.alpha, min(self.beta, pow(self.beta, -1, self.alpha)))

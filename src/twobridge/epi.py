@@ -44,8 +44,7 @@ from .coloring import (
 )
 from .geometry import arc_vectors_at_root, complex_volume, \
     conjugate_partners, cusp_shape, find_roots, region_coloring, root_pairs
-from .polys import exact_divide, format_poly, gauss_divides, int_value, \
-    poly_to_json
+from .polys import exact_divide, format_poly, int_value, poly_to_json
 from . import riley as _riley
 
 
@@ -157,7 +156,7 @@ def ors_factor_property(spec: OrsSpec, certify_exact: bool = True):
     before its full coloring, which alone accepts a result.
 
     Returns (word, "P_A").  Raises EpiError if division fails, ValueError
-    (from ResidueRing) if the core is not monic and real.
+    (from ResidueRing) if the core is not monic.
     """
     word = ors_word(spec)
     p_a = rep_polynomial(slope(spec.seed))
@@ -322,7 +321,7 @@ def census_build(max_alpha: int, out=None, geometry: bool = True,
     return records, edges
 
 
-# a divisor of P1 over Z[i] divides its value at every integer point
+# a divisor of P1 in Z[u] divides its value at every integer point
 _SCREEN_POINTS = (2, 3, 5)
 
 
@@ -332,8 +331,9 @@ def divisibility_edges(sets):
     polynomial of K1's set, the first such in set order being the witness.
 
     Each pair is value-screened first: deg P2 <= deg P1 and P2(t) | P1(t)
-    in Z[i] at t = 2, 3, 5, which every exact divisor passes, with the
-    values computed once per class.  exact_divide alone accepts an edge."""
+    in Z at t = 2, 3, 5 (a zero value dividing only zero), which every
+    exact divisor passes, with the values computed once per class.
+    exact_divide alone accepts an edge."""
     sets = {f: [(name, p, [int_value(p, t) for t in _SCREEN_POINTS])
                 for name, p in polys]
             for f, polys in sets.items()}
@@ -346,7 +346,7 @@ def divisibility_edges(sets):
             _, p2, v2 = sets[f2][0]
             for name, p1, v1 in sets[f1]:
                 if p2.degree > p1.degree or not all(
-                        gauss_divides(a, b) for a, b in zip(v2, v1)):
+                        b % a == 0 if a else b == 0 for a, b in zip(v2, v1)):
                     continue
                 if exact_divide(p1, p2) is not None:
                     edges.append({

@@ -71,7 +71,7 @@ import mpmath as mp
 from mpmath.libmp import from_man_exp, round_nearest, to_fixed
 
 from .conway import ConwayWord
-from .polys import GPoly, eval_poly, horner
+from .polys import GPoly, horner
 from .coloring import PlatPlan, apply_pair, bottom_caps, det, plan_plat, \
     x_power
 
@@ -80,7 +80,6 @@ __all__ = [
     "find_roots",
     "root_pairs",
     "conjugate_partners",
-    "eval_poly",
     "dilog",
     "arc_vectors_at_root",
     "region_coloring",
@@ -237,8 +236,8 @@ def _fujiwara_radius(coeffs):
 def _monic_coeffs(q: GPoly):
     """(coefficients of q / lead, of its derivative) at the current
     precision, lowest degree first."""
-    lead = mp.mpc(q.leading().re, q.leading().im)
-    coeffs = [mp.mpc(c.re, c.im) / lead for c in q.coeffs()]
+    lead = mp.mpc(q.leading())
+    coeffs = [mp.mpc(c) / lead for c in q.c]
     return coeffs, [k * coeffs[k] for k in range(1, len(coeffs))]
 
 
@@ -290,8 +289,8 @@ def _aberth(q: GPoly, bits: int):
 
     z0 = guard = None
     try:
-        lead_c = complex(lead.re, lead.im)
-        coeffs_f = [complex(c.re, c.im) / lead_c for c in q.coeffs()]
+        lead_c = complex(lead)
+        coeffs_f = [complex(c) / lead_c for c in q.c]
         if all(abs(c) < 1e100 for c in coeffs_f):
             radius = _fujiwara_radius(coeffs_f)
             dcoeffs_f = [k * coeffs_f[k] for k in range(1, n + 1)]

@@ -9,9 +9,8 @@ with rho(a) = [[1,1],[0,1]], rho(b) = [[1,0],[-y,1]]; beta is taken in its
 odd representative (beta or beta - alpha), the range Riley's normal form
 requires.  Knots use W_11 (the word has alpha-1 letters ending in b), links
 use W_12 (ending in a).  Both sit in row 1 of W, so the Riley polynomial
-forms only row 1; the full matrix is built row by row, on request.  The
-coloring polynomial satisfies P(u) = +- u^eps * R(u^2) with eps = 1 for
-knots, 2 for links.
+forms only row 1.  The coloring polynomial satisfies
+P(u) = +- u^eps * R(u^2) with eps = 1 for knots, 2 for links.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import dataclasses
 import mpmath as mp
 
 from .conway import Fraction
-from .polys import GaussInt, GPoly, even_part_as_y, expand_at_u_squared
+from .polys import GPoly, even_part_as_y, expand_at_u_squared
 
 _Y = GPoly([0, 1])
 _ONE = GPoly([1])
@@ -43,7 +42,7 @@ def epsilon_sequence(frac: Fraction) -> tuple:
     palindromic: e_i = e_{alpha-i}.
     """
     a, b = frac.alpha, _odd_beta(frac)
-    return tuple(-(-1) ** ((i * b) // a) for i in range(1, a))
+    return tuple(1 if ((i * b) // a) & 1 else -1 for i in range(1, a))
 
 
 def _word_row(eps, row):
@@ -64,12 +63,6 @@ def _word_row(eps, row):
             c1 = c1 - sh if e > 0 else c1 + sh
         use_a = not use_a
     return c1, c2
-
-
-def riley_matrix(frac: Fraction):
-    """The full word matrix W over Z[y], as its rows ((w11, w12), (w21, w22))."""
-    eps = epsilon_sequence(frac)
-    return _word_row(eps, (_ONE, _ZERO)), _word_row(eps, (_ZERO, _ONE))
 
 
 def riley_polynomial(frac: Fraction) -> GPoly:
@@ -166,17 +159,13 @@ def split_polynomial(P: GPoly, precision: int = 256) -> Splitting:
             if prod == P or prod == -P:
                 # deterministic labeling: g is the lexicographically larger
                 # of the pair, read from the top coefficient down
-                if _lex_key(gh) > _lex_key(g):
+                if gh.c[::-1] > g.c[::-1]:
                     g, gh = gh, g
                 return Splitting(g, gh, roots)
     raise RileyError(
         "no integral splitting found at %d bits; retry at higher precision"
         % precision
     )
-
-
-def _lex_key(g: GPoly):
-    return tuple((c.re, c.im) for c in reversed(g.coeffs()))
 
 
 def _integer_poly_from_roots(roots):
@@ -205,9 +194,8 @@ def _integer_poly_from_roots(roots):
 def trace_field_witness(g: GPoly):
     """Split g(u) = A(u^2) + u B(u^2); for any root r of g,
     r = -A(r^2)/B(r^2), so Q(r) = Q(r^2).  Returns (A, B) over Z[y]."""
-    ic = g.coeffs()
-    A = GPoly.from_coeffs(ic[0::2])
-    B = GPoly.from_coeffs(ic[1::2])
+    A = GPoly(g.c[0::2])
+    B = GPoly(g.c[1::2])
     if B.is_zero():
         raise RileyError("odd part vanishes: contradicts ghat != g")
     return A, B
@@ -226,6 +214,6 @@ def unit_certificate(P: GPoly) -> int:
         raise RileyError("P is not u times an even polynomial: %s"
                          % e) from None
     c0 = R.coeff(0)
-    if R.leading() != GaussInt(1) or c0 not in (GaussInt(1), GaussInt(-1)):
+    if R.leading() != 1 or c0 not in (1, -1):
         raise RileyError("P/u is not monic with constant term +-1")
-    return -c0.re
+    return -c0

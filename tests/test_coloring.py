@@ -21,16 +21,42 @@ from twobridge.coloring import (
     plan_plat,
     rep_poly_pair,
     rep_polynomial,
-    torus_rep_poly,
     ui_sequence,
     x_power,
 )
-from twobridge.polys import GPoly, PolyMatrix2, ResidueRing, U, cheb, \
-    exact_divide, parse_poly, sign_normalize, substitute_iu
+from twobridge.polys import GPoly, PolyMatrix2, ResidueRing, U, \
+    exact_divide, horner, parse_poly, sign_normalize
 from twobridge.polys import rem_monic
 from twobridge.epi import class_representatives
 
 P = parse_poly
+
+
+def eval_poly(p, z):
+    """p(z) by Horner's rule at the current mpmath precision."""
+    return horner([mp.mpc(c) for c in p.c], z) if p.c else mp.mpc(0)
+
+
+def cheb_p(n, t):
+    """p_n(t) for n >= 0 and a GPoly t, by the recursion p_0 = 0, p_1 = 1,
+    p_{k+1} = t p_k - p_{k-1}."""
+    a, b = GPoly.zero(), GPoly.one()
+    for _ in range(n):
+        a, b = b, t * b - a
+    return a
+
+
+def torus_rep_poly(q, variant):
+    """Closed-form rep-polynomials of the torus knots and links T(2, q), the
+    engine's oracles:
+
+    T(2, 2k+1) knots ("knot"):              +-u p_{2k+1}(-u)
+    T(2, 2k), parallel ("link_parallel"):    +-u p_{2k}(-u)
+    T(2, 2k), anti-parallel (otherwise):     +-u^2 p_k(-2-u^2)
+    """
+    if variant in ("knot", "link_parallel"):
+        return sign_normalize(cheb_p(q, -U) * U)
+    return sign_normalize(cheb_p(q // 2, -(U * U) - 2) * U * U)
 
 
 def coprime(max_alpha, parity=None):
@@ -66,7 +92,7 @@ def _ring(kind):
     of 7/3's rep-polynomial, and mpmath numbers.  The mpmath samples are
     dyadic, so their products are exact at 128 bits."""
     if kind == "gpoly":
-        vs = [U, -U, P("u^3 - 2*u"), P("(1+1i)*u^2 + 3")]
+        vs = [U, -U, P("u^3 - 2*u"), P("-u^4 + 2*u^2 + 3")]
         return GPoly.zero(), GPoly.one(), vs, lambda x: x
     if kind == "residue":
         ring = ResidueRing(P("u^6 - u^4 + 2*u^2 - 1"))
@@ -112,9 +138,9 @@ class TestXPower:
     def test_chebyshev_entries(self):
         for k in (3, 5):
             mk = x_power(U, k)
-            pk = cheb("p", k).compose(-U)
-            pk1 = cheb("p", k + 1).compose(-U)
-            pkm = cheb("p", k - 1).compose(-U)
+            pk = cheb_p(k, -U)
+            pk1 = cheb_p(k + 1, -U)
+            pkm = cheb_p(k - 1, -U)
             assert mk.a12 == -pk and mk.a21 == pk
             assert mk.a11 == -pkm and mk.a22 == pk1
 
@@ -140,7 +166,7 @@ class TestXPower:
                 M = M * X
             X, n = X * X, n >> 1
         assert x_power(U, 600) == M
-        assert M.a21 == cheb("p", 600).compose(-U)
+        assert M.a21 == cheb_p(600, -U)
 
 
 class TestBlockTransfer:
@@ -252,14 +278,13 @@ class TestUiSequence:
                     assert sign_normalize(seq[j]) == U
                     continue
                 pw = rep_polynomial(frac)
-                twisted = sign_normalize(substitute_iu(pw))
+                twisted = iu_variant(pw)
                 uj = sign_normalize(seq[j])
                 if frac.is_knot:
                     assert uj in (pw, twisted)
                 else:
                     pair = rep_poly_pair(prefix)
-                    cands = set(pair) | {sign_normalize(substitute_iu(p))
-                                         for p in pair}
+                    cands = set(pair) | {iu_variant(p) for p in pair}
                     assert uj in cands
 
     def test_parity_law(self):
@@ -365,14 +390,13 @@ class TestRepPolynomialLaws:
             assert not p.coeff(0)
             if frac.is_knot:
                 q = p.strip_power(1)
-                assert q.coeff(0).re in (1, -1) and q.coeff(0).im == 0
+                assert q.coeff(0) in (1, -1)
             else:
                 assert not p.coeff(1)
 
     def test_monic_canonical_sign(self):
         for frac in coprime(30):
-            lc = rep_polynomial(frac).leading()
-            assert (lc.re, lc.im) == (1, 0)
+            assert rep_polynomial(frac).leading() == 1
 
     def test_mirror_invariance(self):
         for frac in coprime(25, parity="odd"):
@@ -388,19 +412,19 @@ class TestRepPolynomialLaws:
 
 class TestTorusOracles:
     def test_trefoil(self):
-        assert torus_rep_poly(2, 3, "knot") == P("u^3-u")
-        assert torus_rep_poly(2, 3, "knot") == \
-            sign_normalize(cheb("p", 3).compose(-U) * U)
+        assert torus_rep_poly(3, "knot") == P("u^3-u")
+        assert torus_rep_poly(3, "knot") == \
+            sign_normalize(cheb_p(3, -U) * U)
 
     def test_t24_roots(self):
-        assert torus_rep_poly(2, 4, "link_parallel") == P("u^4-2*u^2")
-        assert torus_rep_poly(2, 4, "link_antiparallel") == P("u^4+2*u^2")
+        assert torus_rep_poly(4, "link_parallel") == P("u^4-2*u^2")
+        assert torus_rep_poly(4, "link_antiparallel") == P("u^4+2*u^2")
 
     def test_t22_degenerate(self):
-        assert torus_rep_poly(2, 2, "link_antiparallel") == P("u^2")
+        assert torus_rep_poly(2, "link_antiparallel") == P("u^2")
 
     def test_deep_torus_knot(self):
-        assert torus_rep_poly(2, 601, "knot") == \
+        assert torus_rep_poly(601, "knot") == \
             rep_polynomial(Fraction(601, 1))
 
     def test_engine_agreement(self):
@@ -408,19 +432,19 @@ class TestTorusOracles:
             word = ConwayWord((q,))
             if q % 2 == 1:
                 assert color_general_word(word) == \
-                    torus_rep_poly(2, q, "knot")
+                    torus_rep_poly(q, "knot")
             else:
                 got = {color_general_word(word, orientation=(1, 1)),
                        color_general_word(word, orientation=(1, -1))}
-                want = {torus_rep_poly(2, q, "link_parallel"),
-                        torus_rep_poly(2, q, "link_antiparallel")}
+                want = {torus_rep_poly(q, "link_parallel"),
+                        torus_rep_poly(q, "link_antiparallel")}
                 assert got == want
 
 
 class TestUpsideDownTransport:
     def test_root_transport(self):
         # P_K(r) = 0 implies P'_K(u_k(r)) = 0 and u'_k(u_k(r))^2 = r^2
-        from twobridge.geometry import find_roots, eval_poly
+        from twobridge.geometry import find_roots
 
         word = ConwayWord((2, 3))
         ud = ConwayWord((-3, -2))
@@ -508,7 +532,7 @@ class TestModularColoring:
                 planned += 1
         assert planned > 200
 
-    @pytest.mark.parametrize("modulus", ["2*u^2 + 1", "u^2 + i"])
+    @pytest.mark.parametrize("modulus", ["2*u^2 + 1"])
     def test_bad_modulus_is_a_value_error(self, modulus):
         plan = plan_plat(ConwayWord((2, 3)))
         with pytest.raises(ValueError):

@@ -14,7 +14,6 @@ from twobridge.geometry import (
     complex_volume,
     cusp_shape,
     dilog,
-    eval_poly,
     find_roots,
     gluing_residual,
     region_coloring,
@@ -22,9 +21,14 @@ from twobridge.geometry import (
 )
 from twobridge.epi import class_representatives
 from twobridge.geometry import root_pairs
-from twobridge.polys import GPoly, PolyMatrix2, parse_poly
+from twobridge.polys import GPoly, PolyMatrix2, horner, parse_poly
 
 P = parse_poly
+
+
+def eval_poly(p, z):
+    """p(z) by Horner's rule at the current mpmath precision."""
+    return horner([mp.mpc(c) for c in p.c], z) if p.c else mp.mpc(0)
 
 _VOLUME_TOL = 1e-6
 
@@ -87,7 +91,7 @@ class TestFindRoots:
         p = rep_polynomial(Fraction(13, 5))
         mine = find_roots(p, precision=128)
         with mp.workprec(160):
-            coeffs = [mp.mpf(c.re) for c in reversed(p.coeffs())]
+            coeffs = [mp.mpf(c) for c in reversed(p.c)]
             theirs = [mp.mpc(r) for r in
                       mp.polyroots(coeffs, maxsteps=200, extraprec=100)]
             assert len(mine) == len(theirs)
@@ -110,7 +114,7 @@ class TestFindRoots:
     def test_residual_bound_met_for_large_degree(self):
         p = rep_polynomial(Fraction(61, 17))
         roots = find_roots(p, precision=256)
-        norm = max(abs(mp.mpf(c.re)) for c in p.coeffs())
+        norm = max(abs(mp.mpf(c)) for c in p.c)
         with mp.workprec(288):
             for r in roots:
                 scale = max(mp.mpf(1), abs(r)) ** p.degree
@@ -529,7 +533,7 @@ class TestRootsLayer:
             mine = [r for r in find_roots(p, precision=256) if r != 0]
             with mp.workprec(256):
                 q = p.strip_zero_roots()[0]
-                coeffs = [mp.mpf(c.re) for c in reversed(q.coeffs())]
+                coeffs = [mp.mpf(c) for c in reversed(q.c)]
                 theirs = mp.polyroots(coeffs, maxsteps=200, extraprec=512)
                 assert len(mine) == len(theirs) == q.degree
                 for b in theirs:
@@ -581,8 +585,7 @@ class TestRootsAboveDegree45:
         # is found once, to within its disk's radius
         q, mine = self.nonzero_roots(beta, alpha)
         n = q.degree
-        dq = GPoly.from_coeffs([(k * c.re, k * c.im) for k, c in
-                                enumerate(q.coeffs())][1:])
+        dq = GPoly([k * c for k, c in enumerate(q.c)][1:])
         with mp.workprec(512):
             radii = [n * abs(eval_poly(q, r) / eval_poly(dq, r)) for r in mine]
             for r, rad in zip(mine, radii):
@@ -595,7 +598,7 @@ class TestRootsAboveDegree45:
     def test_match_polyroots(self, beta, alpha):
         q, mine = self.nonzero_roots(beta, alpha)
         with mp.workprec(256):
-            coeffs = [mp.mpf(c.re) for c in reversed(q.coeffs())]
+            coeffs = [mp.mpf(c) for c in reversed(q.c)]
             theirs = mp.polyroots(coeffs, maxsteps=200, extraprec=128)
             self.assert_matched_one_to_one(mine, theirs)
 

@@ -8,31 +8,47 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import twobridge
+from twobridge.coloring import iu_variant
 from twobridge.polys import (
     GPoly,
-    GaussInt,
     U,
-    cheb,
-    eval_poly,
     even_part_as_y,
     exact_divide,
     expand_at_u_squared,
     format_poly,
-    gauss_divides,
+    horner,
     int_value,
     parse_poly,
     poly_from_json,
     poly_to_json,
     rem_monic,
     sign_normalize,
-    substitute_iu,
-    unit_normalize,
 )
 from twobridge.polys import ResidueRing, p_window
 
 
 def P(text):
     return parse_poly(text)
+
+
+def eval_poly(p, z):
+    """p(z) by Horner's rule at the current mpmath precision."""
+    return horner([mp.mpc(c) for c in p.c], z) if p.c else mp.mpc(0)
+
+
+def compose(p, inner):
+    """p(inner(u)), exact."""
+    return horner([GPoly([c]) for c in p.c], inner) if p.c else p
+
+
+def cheb(kind, n):
+    """Chebyshev-family polynomial in the variable t, read off p_window:
+    "p" is p_n (p_0 = 0, p_1 = 1, p_{n+1} = t p_n - p_{n-1}, p_{-n} = -p_n),
+    "f" is f_n = p_{n+1} - p_n and "v" is v_n = p_{n+1} - p_{n-1}."""
+    before, p, after = p_window(U, n)
+    if kind == "p":
+        return p
+    return after - (p if kind == "f" else before)
 
 
 class TestArithmetic:
@@ -45,11 +61,6 @@ class TestArithmetic:
 
     def test_product_example_5_2(self):
         assert P("u^3+u^2-1") * P("u^3-u^2+1") == P("u^6-u^4+2*u^2-1")
-
-    def test_gauss_product(self):
-        p = GPoly.from_coeffs([(0, 1), (1, 0)])  # u + i
-        q = GPoly.from_coeffs([(0, -1), (1, 0)])  # u - i
-        assert p * q == P("u^2+1")
 
     def test_degree_of_product(self):
         a, b = P("u^5 - 3"), P("2*u^7 + u")
@@ -94,15 +105,13 @@ class TestExactDivide:
         q = exact_divide(num - r, den)
         assert q is not None and q * den + r == num
 
-    @given(st.lists(st.tuples(st.integers(-99, 99), st.integers(-99, 99)),
-                    max_size=10),
-           st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)),
-                    max_size=5))
+    @given(st.lists(st.integers(-99, 99), max_size=10),
+           st.lists(st.integers(-9, 9), max_size=5))
     @settings(max_examples=200)
     def test_rem_monic_is_a_remainder(self, num, low):
         # rem_monic is the reference the ResidueRing tests compare against
-        num = GPoly.from_coeffs(num)
-        den = GPoly.from_coeffs(low + [1])
+        num = GPoly(num)
+        den = GPoly(low + [1])
         r = rem_monic(num, den)
         assert r.degree < den.degree
         assert exact_divide(num - r, den) is not None
@@ -128,43 +137,51 @@ class TestEval:
 
 
 class TestSubstitutions:
+    """iu_variant is P(iu) up to a unit, sign_normalize the normal form
+    under the units +-1 of Z."""
+
     def test_whitehead_variants(self):
-        p = P("u^4+2*u^2+2")
-        assert sign_normalize(substitute_iu(p)) == P("u^4-2*u^2+2")
+        assert iu_variant(P("u^4+2*u^2+2")) == P("u^4-2*u^2+2")
 
     def test_variable(self):
-        assert substitute_iu(U) == GPoly.from_coeffs([(0, 0), (0, 1)])
+        # iu = i * u
+        assert iu_variant(U) == U
 
     def test_trefoil_iu(self):
         # i P(iu) = u(u^2+1) for P = u(u^2-1)
-        q = substitute_iu(P("u^3-u"))
-        assert q.scale_unit(1) == P("u^3+u")
-        assert sign_normalize(q) == P("u^3+u")
+        assert iu_variant(P("u^3-u")) == P("u^3+u")
 
     def test_double_substitution_is_negation(self):
-        p = P("u^5 - 4*u^2 + u - 9")
-        assert substitute_iu(substitute_iu(p)) == p.substitute_neg()
+        # P(i(iu)) = P(-u), up to a unit, for every P of one parity
+        rng = random.Random(22)
+        for parity in (0, 1) * 20:
+            p = GPoly([rng.randint(-9, 9) if k % 2 == parity else 0
+                       for k in range(rng.randint(1, 9))])
+            assert iu_variant(iu_variant(p)) == \
+                sign_normalize(p.substitute_neg()), p
+
+    def test_mixed_parity_is_refused(self):
+        # P(iu) of u^2 + u is -u^2 + iu, no unit times an integer polynomial
+        for text in ("u^5 - 4*u^2 + u - 9", "u^2 + u", "u + 1"):
+            with pytest.raises(ValueError, match="parities"):
+                iu_variant(P(text))
 
     def test_unit_normalize_resolves_units(self):
         p = P("u^2 - 3")
-        for k in range(4):
-            q, unit = unit_normalize(p.scale_unit(k))
-            assert q == p
+        for unit in (1, -1):
+            assert sign_normalize(p * unit) == p
 
     def test_unit_normalize_is_a_normal_form(self):
-        # every leading coefficient in a box of Z[i], times each unit,
-        # normalizes to one polynomial, with leading coefficient in the
-        # quadrant re > 0, im >= 0
-        for a in range(-3, 4):
-            for b in range(-3, 4):
-                if a == b == 0:
-                    continue
-                p = GPoly.from_coeffs([(2, -1), (0, 5), (a, b)])
-                forms = {unit_normalize(p.scale_unit(k))[0] for k in range(4)}
-                assert len(forms) == 1
-                q, unit = unit_normalize(p)
-                assert q == p.scale_unit(unit)
-                assert q.leading().re > 0 and q.leading().im >= 0
+        # p and -p normalize to one polynomial, the one with a positive
+        # leading coefficient, for every leading coefficient in a box
+        for a in range(-6, 7):
+            if a == 0:
+                continue
+            p = GPoly([2, 5, a])
+            assert sign_normalize(p) == sign_normalize(-p)
+            assert sign_normalize(p).leading() == abs(a)
+            assert sign_normalize(p) in (p, -p)
+        assert sign_normalize(GPoly.zero()) == GPoly.zero()
 
 
 class TestEvenPart:
@@ -189,7 +206,7 @@ class TestEvenPart:
 
 class TestChebyshev:
     def test_p3(self):
-        assert cheb("p", 3) == P("t^2-1").compose(U) or cheb("p", 3) == P("u^2-1")
+        assert cheb("p", 3) == compose(P("t^2-1"), U) == P("u^2-1")
 
     def test_negative_index(self):
         assert cheb("p", -2) == -cheb("p", 2) == -U
@@ -208,7 +225,7 @@ class TestChebyshev:
         # p_n is built iteratively: a recursive p_n overflowed the stack
         p600 = cheb("p", 600)
         assert p600.degree == 599
-        assert p600.compose(GPoly([2])) == GPoly([600])
+        assert compose(p600, GPoly([2])) == GPoly([600])
 
 
 class TestChebyshevIdentities:
@@ -227,10 +244,10 @@ class TestChebyshevIdentities:
                 == GPoly.one()
             assert (-1) ** n * f(n).substitute_neg() == p(n) + p(n + 1)
             for m in range(1, 8):
-                assert p(n * m) == p(n).compose(v(m)) * p(m)
+                assert p(n * m) == compose(p(n), v(m)) * p(m)
             for k in range(1, 6):
-                lhs = f(n).compose(-v(2 * k))
-                rhs = f(n).compose(v(k)) * f(n).compose(-v(k))
+                lhs = compose(f(n), -v(2 * k))
+                rhs = compose(f(n), v(k)) * compose(f(n), -v(k))
                 assert lhs == rhs
 
 
@@ -241,10 +258,33 @@ class TestTextAndJson:
         assert format_poly(-U) == "-u"
 
     def test_parse_gaussian(self):
-        p = parse_poly("(1+2i)*u^2 - i*u + 3")
-        assert p.coeff(2) == GaussInt(1, 2)
-        assert p.coeff(1) == GaussInt(0, -1)
-        assert p.coeff(0) == GaussInt(3, 0)
+        # coefficients are integers: a Gaussian one is refused, not misread
+        with pytest.raises(ValueError, match="position 0"):
+            parse_poly("(1+2i)*u^2 - i*u + 3")
+
+    def test_parse_refuses_second_variable(self):
+        # "u^2 + y" was read as u^2 + u
+        with pytest.raises(ValueError, match="position 6: a second variable"):
+            parse_poly("u^2 + y")
+
+    def test_parse_refuses_terms_not_joined_by_a_sign(self):
+        # "u^2 u" was read as u^2 + u
+        with pytest.raises(ValueError, match="position 4: terms are joined"):
+            parse_poly("u^2 u")
+
+    def test_parse_refuses_imaginary_unit(self):
+        # without Gaussian coefficients, "u^2 + i" would be read as u^2 + u
+        with pytest.raises(ValueError, match="position 6: 'i' is not a variable"):
+            parse_poly("u^2 + i")
+
+    def test_parse_forms(self):
+        assert parse_poly("x^3-x") == parse_poly("u^3 - u") == P("u^3-u")
+        assert parse_poly("  -u^3 + 2u - 7 ") == GPoly([-7, 2, 0, -1])
+        assert parse_poly("3 * u^2 + 0") == GPoly([0, 0, 3])
+        assert parse_poly("0") == GPoly.zero()
+        for text in ("", "   ", "2*", "u^", "u^2 + + 1", "2 u", "u2"):
+            with pytest.raises(ValueError):
+                parse_poly(text)
 
     def test_variable_agnostic(self):
         assert parse_poly("y^2 - y + 1") == parse_poly("u^2 - u + 1")
@@ -254,12 +294,17 @@ class TestTextAndJson:
         p = GPoly(xs)
         assert parse_poly(format_poly(p)) == p
 
-    @given(st.lists(st.tuples(st.integers(-10 ** 30, 10 ** 30),
-                              st.integers(-10 ** 30, 10 ** 30)),
-                    min_size=1, max_size=6))
-    def test_json_roundtrip(self, pairs):
-        p = GPoly.from_coeffs(pairs)
+    @given(st.lists(st.integers(-10 ** 30, 10 ** 30), min_size=1, max_size=6))
+    def test_json_roundtrip(self, xs):
+        p = GPoly(xs)
         assert poly_from_json(poly_to_json(p)) == p
+
+    def test_json_form(self):
+        # coefficients stay (re, im) pairs, im "0", as census files hold them
+        assert poly_to_json(P("u^2 - 3")) == \
+            {"coeffs": [["-3", "0"], ["0", "0"], ["1", "0"]]}
+        with pytest.raises(ValueError, match="imaginary"):
+            poly_from_json({"coeffs": [["1", "0"], ["2", "1"]]})
 
     def test_repr(self):
         assert repr(P("u^2 - 1")) == "GPoly(u^2 - 1)"
@@ -268,7 +313,7 @@ class TestTextAndJson:
     def test_bigint_coefficients_survive(self):
         big = 10 ** 80 + 7
         p = GPoly([big, -big])
-        assert poly_from_json(poly_to_json(p)).coeff(0).re == big
+        assert poly_from_json(poly_to_json(p)).coeff(0) == big
 
 
 class TestStripZeroRoots:
@@ -283,26 +328,21 @@ class TestStripZeroRoots:
 
 class TestIntegerValues:
     def test_value(self):
-        assert int_value(GPoly.from_coeffs([1, (0, 2), 3]), 2) == (13, 4)
-        assert int_value(GPoly([]), 5) == (0, 0)
-
-    def test_gauss_divides(self):
-        assert gauss_divides((1, 1), (2, 0))       # 2 = (1+i)(1-i)
-        assert not gauss_divides((2, 0), (1, 1))
-        assert gauss_divides((0, 0), (0, 0))
-        assert not gauss_divides((0, 0), (1, 0))
+        assert int_value(GPoly([1, 2, 3]), 2) == 17
+        assert int_value(GPoly([]), 5) == 0
 
     def test_every_divisor_passes_the_value_screen(self):
+        # the edge screen of epi.divisibility_edges: a(t) | (a b)(t), and a
+        # zero a(t) has a zero (a b)(t)
         rng = random.Random(5)
         def draw():
-            n = rng.randint(1, 6)
-            return GPoly([rng.randint(-9, 9) for _ in range(n)],
-                         [rng.randint(-9, 9) for _ in range(n)])
+            return GPoly([rng.randint(-9, 9) for _ in range(rng.randint(1, 6))])
 
-        for _ in range(50):
+        for _ in range(200):
             a, b = draw(), draw()
             for t in (2, 3, 5):
-                assert gauss_divides(int_value(a, t), int_value(a * b, t))
+                va, vab = int_value(a, t), int_value(a * b, t)
+                assert vab % va == 0 if va else vab == 0
 
 
 class TestResidueRing:
@@ -354,18 +394,23 @@ class TestResidueRing:
             ResidueRing(P(modulus))
 
     def test_non_real_modulus_is_refused(self):
+        # no GPoly holds a non-real coefficient: the text and JSON forms of
+        # one are refused before a ring can be built on it
         with pytest.raises(ValueError, match="integer"):
             ResidueRing(P("u^2 + i"))
         with pytest.raises(ValueError, match="integer"):
-            ResidueRing(P("u^2 + 1")).element(P("i*u"))
+            ResidueRing(poly_from_json({"coeffs": [["0", "1"], ["0", "0"],
+                                                   ["1", "0"]]}))
 
     def test_refusals_hold_under_optimize(self):
         # the checks must not be asserts, which -O removes
         code = (
             "from twobridge.polys import ResidueRing, parse_poly\n"
-            "for m in ('2*u^2 + 1', 'u^2 + i'):\n"
+            "for make in (lambda: ResidueRing(parse_poly('2*u^2 + 1')),\n"
+            "             lambda: parse_poly('u^2 + i'),\n"
+            "             lambda: parse_poly('u^2 + y')):\n"
             "    try:\n"
-            "        ResidueRing(parse_poly(m))\n"
+            "        make()\n"
             "    except ValueError:\n"
             "        continue\n"
             "    raise SystemExit(1)\n"

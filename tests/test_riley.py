@@ -7,13 +7,12 @@ from hypothesis import given, settings, strategies as st
 from twobridge.conway import Fraction, parse_descriptor, slope
 from twobridge.coloring import color_general_word, det, rep_polynomial, \
     rep_poly_pair
-from twobridge.polys import GPoly, U, eval_poly, exact_divide, \
-    expand_at_u_squared, parse_poly, sign_normalize
+from twobridge.polys import GPoly, PolyMatrix2, U, exact_divide, \
+    expand_at_u_squared, horner, parse_poly, sign_normalize
 from twobridge.riley import (
     RileyError,
     epsilon_sequence,
     hat,
-    riley_matrix,
     riley_polynomial,
     split_polynomial,
     trace_field_witness,
@@ -22,6 +21,25 @@ from twobridge.riley import (
 )
 
 P = parse_poly
+
+
+def eval_poly(p, z):
+    """p(z) by Horner's rule at the current mpmath precision."""
+    return horner([mp.mpc(c) for c in p.c], z) if p.c else mp.mpc(0)
+
+
+def riley_matrix(frac):
+    """The word matrix W over Z[y], the product of the letters
+    rho(a)^e_1 rho(b)^e_2 ... with rho(a)^e = [[1, e], [0, 1]] and
+    rho(b)^e = [[1, 0], [-e y, 1]], one 2x2 product per letter."""
+    one, zero = GPoly.one(), GPoly.zero()
+    W = PolyMatrix2(one, zero, zero, one)
+    for i, e in enumerate(epsilon_sequence(frac)):
+        if i % 2 == 0:
+            W = W * PolyMatrix2(one, GPoly([e]), zero, one)
+        else:
+            W = W * PolyMatrix2(one, zero, GPoly([0, -e]), one)
+    return W
 
 
 def coprime(max_alpha, parity=None):
@@ -51,6 +69,13 @@ class TestEpsilonSequence:
             eps = epsilon_sequence(frac)
             assert eps == tuple(reversed(eps))
 
+    def test_entries_are_ints(self):
+        # beta - alpha < 0 made floor(i*beta/alpha) negative, and
+        # (-1)**k a float, for even beta
+        for frac in coprime(40):
+            assert all(type(e) is int and e in (1, -1)
+                       for e in epsilon_sequence(frac)), frac
+
 
 class TestRileyPolynomial:
     def test_values(self):
@@ -76,8 +101,8 @@ class TestRileyPolynomial:
         for frac in coprime(60, parity="odd"):
             R = riley_polynomial(frac)
             S = R if (frac.alpha - 1) // 2 % 2 == 0 else -R
-            assert S.leading().re == 1 and S.leading().im == 0
-            assert (S.coeff(0).re, S.coeff(0).im) in ((1, 0), (-1, 0))
+            assert S.leading() == 1
+            assert S.coeff(0) in (1, -1)
 
     def test_no_repeated_roots(self):
         from twobridge.geometry import find_roots
@@ -91,17 +116,19 @@ class TestRileyPolynomial:
 
 
 class TestRowOne:
-    """riley_polynomial forms row 1 only; the full matrix both rows."""
+    """riley_polynomial forms row 1 only; the oracle multiplies full
+    matrices letter by letter."""
 
     def test_matches_full_matrix(self):
         large = (Fraction(1037, 726), Fraction(1144, 1035))  # knot, link
         for frac in (*coprime(60), *large):
-            (w11, w12), _ = riley_matrix(frac)
-            assert riley_polynomial(frac) == (w11 if frac.is_knot else w12)
+            W = riley_matrix(frac)
+            assert riley_polynomial(frac) == (W.a11 if frac.is_knot else W.a12)
 
     def test_unimodular(self):
         for frac in coprime(40):
-            assert det(*riley_matrix(frac)) == GPoly.one()
+            W = riley_matrix(frac)
+            assert det((W.a11, W.a12), (W.a21, W.a22)) == GPoly.one()
 
 
 class TestBridge:
@@ -179,7 +206,7 @@ class TestTraceFieldWitness:
             assert rebuilt == g
 
     def test_numeric_root_identity(self):
-        from twobridge.geometry import eval_poly, find_roots
+        from twobridge.geometry import find_roots
 
         with mp.workprec(192):
             for frac in (Fraction(7, 3), Fraction(9, 5), Fraction(13, 5)):
@@ -213,7 +240,7 @@ class TestUnitCertificate:
                      "2*u^3-u",          # P/u not monic
                      "u^4-u^2",          # P/u odd
                      "u^2+u",            # P/u not even
-                     "u^3+i*u",          # c_0 = i, not +-1
+                     "u^5-u^3",          # c_0 = 0
                      "u^2-1"):           # u does not divide P
             with pytest.raises(RileyError):
                 unit_certificate(P(text))
@@ -222,7 +249,7 @@ class TestUnitCertificate:
         # r^2 (r^{a-3} + ... + c_2) at the published roots of 7/3 is the
         # certificate's -c_0
         p = rep_polynomial(Fraction(7, 3))
-        head = GPoly.from_coeffs(p.strip_power(1).coeffs()[2:])
+        head = GPoly(p.strip_power(1).c[2:])
         cert = unit_certificate(p)
         with mp.workprec(64):
             for root in (mp.mpf("0.75487766"),
